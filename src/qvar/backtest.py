@@ -9,10 +9,10 @@ distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import chdtrc
 
 from .errors import DomainError, InsufficientDataError, ShapeError
 
@@ -79,60 +79,6 @@ def hits(returns, var, theta: float) -> HitSeries:
 # chi-square tail probability
 # ---------------------------------------------------------------------------
 
-_GAMMA_EPS = 1e-16
-_GAMMA_MAX_ITER = 1000
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    # regularized lower incomplete gamma P(a, x) by power series; good for x < a + 1
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(_GAMMA_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    # regularized upper incomplete gamma Q(a, x) by continued fraction; good for x >= a + 1
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Q(a, x) = Gamma(a, x) / Gamma(a), the upper regularized incomplete gamma."""
-    if a <= 0:
-        raise DomainError("shape parameter must be positive")
-    if x < 0:
-        raise DomainError("argument must be non-negative")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return min(max(1.0 - _lower_gamma_series(a, x), 0.0), 1.0)
-    return min(max(_upper_gamma_cf(a, x), 0.0), 1.0)
-
 
 def chi2_sf(x: float, k: int) -> float:
     """Upper-tail chi-square probability P(chi2_k > x)."""
@@ -140,7 +86,7 @@ def chi2_sf(x: float, k: int) -> float:
         raise DomainError("chi-square statistic must be non-negative")
     if k < 1:
         raise DomainError("degrees of freedom must be >= 1")
-    return regularized_gamma_q(0.5 * k, 0.5 * x)
+    return float(chdtrc(k, x))
 
 
 # ---------------------------------------------------------------------------

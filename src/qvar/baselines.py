@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 from scipy.signal import lfilter
 
 from .errors import DomainError, FitError, InsufficientDataError, ShapeError
@@ -321,25 +321,6 @@ class QrCoefficients:
             raise DomainError("quantile level must lie strictly inside (0, 1)")
 
 
-def smoothed_pinball(u, theta: float, kappa: float):
-    """Pinball loss with a quadratic patch of half-width kappa around the kink."""
-    u = np.asarray(u, dtype=float)
-    return np.where(
-        u >= kappa,
-        theta * u,
-        np.where(
-            u <= -kappa,
-            (theta - 1.0) * u,
-            u * u / (4.0 * kappa) + (theta - 0.5) * u + kappa / 4.0,
-        ),
-    )
-
-
-def _smoothed_psi(u, theta: float, kappa: float):
-    # derivative of smoothed_pinball with respect to u
-    return np.clip(u / (2.0 * kappa) + (theta - 0.5), theta - 1.0, theta)
-
-
 def _lag_matrix(returns: np.ndarray, lags: int):
     # row t: [r[t-1], r[t-2], ..., r[t-lags]] for t = lags .. len-1
     n = returns.size - lags
@@ -347,20 +328,13 @@ def _lag_matrix(returns: np.ndarray, lags: int):
     return np.column_stack(cols), returns[lags:]
 
 
-def fit_linear_qr(
-    train_returns,
-    theta: float,
-    lags: int = QR_LAGS,
-    kappa: float = 1e-6,
-    max_iter: int = 20000,
-) -> QrCoefficients:
-    """Fit r_t ~ [1, r_{t-1..t-lags}] by minimizing the mean smoothed pinball loss.
+def fit_linear_qr(train_returns, theta: float, lags: int = QR_LAGS) -> QrCoefficients:
+    """Fit r_t ~ [1, r_{t-1..t-lags}] by exact minimization of the pinball loss.
 
-    Full-batch gradient descent with a doubling/halving step search on
-    internally standardized regressors. Convergence is validated through the
-    quantile first-order condition: the fraction of training rows strictly
-    below the fitted quantile must sit within (lags + 2) / n of theta (up to
-    ties sitting exactly on the fit). Raises FitError otherwise.
+    Solves the Koenker-Bassett (1978) linear program through its dual,
+    max y'd subject to X'd = 0 and theta - 1 <= d <= theta, with scipy's
+    HiGHS solver; the coefficients are the multipliers of the equality
+    rows. Raises FitError when the solver does not report an optimum.
     """
     if not 0.0 < theta < 1.0:
         raise DomainError("quantile level must lie strictly inside (0, 1)")
@@ -370,68 +344,14 @@ def fit_linear_qr(
             f"linear quantile regression needs >= {MIN_QR_OBS} observations, got {returns.size}"
         )
     lag_cols, y = _lag_matrix(returns, lags)
-    n = y.size
-
-    # standardize lag columns so the descent geometry is scale-free
-    col_mean = lag_cols.mean(axis=0)
-    col_std = lag_cols.std(axis=0)
-    col_std[col_std == 0] = 1.0
-    X = np.column_stack([np.ones(n), (lag_cols - col_mean) / col_std])
-
-    def objective(b):
-        return float(np.mean(smoothed_pinball(y - X @ b, theta, kappa)))
-
-    # first-order condition of the quantile fit, up to ties sitting on it
-    tie_tol = 1e-9 * max(1.0, float(np.max(np.abs(y))))
-    band = (lags + 2) / n
-
-    def band_ok(b) -> bool:
-        residual = y - X @ b
-        strict_below = float(np.mean(residual < -tie_tol))
-        below_or_tied = float(np.mean(residual <= tie_tol))
-        return strict_below <= theta + band and below_or_tied >= theta - band
-
-    beta = np.zeros(lags + 1)
-    beta[0] = constant_quantile(y, theta)
-    f = objective(beta)
-    step = 1.0
-    check_every = 25
-    f_checkpoint = f
-    for it in range(max_iter):
-        u = y - X @ beta
-        grad = -(X.T @ _smoothed_psi(u, theta, kappa)) / n
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0:
-            break
-        step *= 2.0
-        while True:
-            cand = beta - step * grad
-            f_cand = objective(cand)
-            if f_cand < f - 1e-4 * step * gnorm2:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                break
-        if step < 1e-18:
-            break
-        beta, f = cand, f_cand
-        if (it + 1) % check_every == 0:
-            plateaued = f_checkpoint - f <= check_every * 1e-10 * max(1.0, abs(f))
-            if plateaued and band_ok(beta):
-                break
-            f_checkpoint = f
-
-    if not band_ok(beta):
-        residual = y - X @ beta
-        raise FitError(
-            f"quantile regression did not converge: below-fraction "
-            f"{float(np.mean(residual < -tie_tol)):.5f} outside {theta} +- {band:.5f}"
-        )
-
-    # undo the internal standardization
-    weights = beta[1:] / col_std
-    intercept = float(beta[0] - np.dot(weights, col_mean))
-    return QrCoefficients(intercept=intercept, lag_weights=weights, theta=theta)
+    X = np.column_stack([np.ones(y.size), lag_cols])
+    result = linprog(
+        -y, A_eq=X.T, b_eq=np.zeros(lags + 1), bounds=(theta - 1.0, theta), method="highs"
+    )
+    if result.status != 0:
+        raise FitError(f"quantile regression LP failed: {result.message}")
+    beta = -result.eqlin.marginals
+    return QrCoefficients(intercept=float(beta[0]), lag_weights=beta[1:], theta=theta)
 
 
 def linear_qr_predict(coeffs: QrCoefficients, recent_returns) -> float:

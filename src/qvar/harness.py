@@ -40,13 +40,7 @@ from .data import (
     make_windows,
     pool_windows,
 )
-from .errors import (
-    DegenerateDataError,
-    DomainError,
-    FitError,
-    InsufficientDataError,
-    QvarError,
-)
+from .errors import DomainError, InsufficientDataError, QvarError
 from .qcnn import QcnnModel, TrainConfig, predict_var_series, save_model, train
 
 logger = logging.getLogger(__name__)
@@ -123,6 +117,11 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _skip(asset: str, stage: str, exc: QvarError) -> dict:
+    # one run_manifest.json "skipped" entry; "error" names the exception class
+    return {"asset": asset, "stage": stage, "error": type(exc).__name__, "reason": str(exc)}
+
+
 def load_assets(cfg: ExperimentConfig) -> tuple[list[ReturnSeries], list[dict]]:
     """Load the manifest's price files into return series.
 
@@ -142,7 +141,7 @@ def load_assets(cfg: ExperimentConfig) -> tuple[list[ReturnSeries], list[dict]]:
             series = log_returns(load_prices(path))
         except QvarError as exc:
             logger.warning("skipping %s: %s", path, exc)
-            skipped.append({"asset": path.stem, "stage": "load", "reason": str(exc)})
+            skipped.append(_skip(path.stem, "load", exc))
             continue
         if series.split_index < cfg.window + 1:
             reason = (
@@ -150,7 +149,7 @@ def load_assets(cfg: ExperimentConfig) -> tuple[list[ReturnSeries], list[dict]]:
                 f"need >= {cfg.window + 1}"
             )
             logger.warning("skipping %s: %s", series.asset_id, reason)
-            skipped.append({"asset": series.asset_id, "stage": "load", "reason": reason})
+            skipped.append(_skip(series.asset_id, "load", InsufficientDataError(reason)))
             continue
         series_list.append(series)
     return series_list, skipped
@@ -271,8 +270,9 @@ def _run_task(args):
     try:
         forecast, result = run_single(series, theta, method, cfg)
         return series.asset_id, theta, method, "ok", (forecast, result)
-    except (InsufficientDataError, DegenerateDataError, FitError) as exc:
-        return series.asset_id, theta, method, "skip", str(exc)
+    except QvarError as exc:
+        stage = f"{method}@{_theta_tag(theta)}"
+        return series.asset_id, theta, method, "skip", _skip(series.asset_id, stage, exc)
 
 
 def _theta_tag(theta: float) -> str:
@@ -381,10 +381,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         if status == "ok":
             by_key[(asset_id, theta, method)] = payload
         else:
-            logger.warning("skipping %s/%s at theta=%s: %s", asset_id, method, theta, payload)
-            skips.append(
-                {"asset": asset_id, "stage": f"{method}@{_theta_tag(theta)}", "reason": payload}
+            logger.warning(
+                "skipping %s/%s at theta=%s: %s", asset_id, method, theta, payload["reason"]
             )
+            skips.append(payload)
 
     summaries_by_theta: dict[float, list[MethodSummary]] = {}
     for theta in cfg.thetas:
@@ -393,15 +393,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
             try:
                 joint, joint_model = run_joint_qcnn(series_list, theta, cfg)
                 save_model(joint_model, output_dir / f"joint_qcnn_theta{_theta_tag(theta)}.json")
-            except (InsufficientDataError, DegenerateDataError, FitError) as exc:
+            except QvarError as exc:
                 logger.warning("joint_qcnn skipped at theta=%s: %s", theta, exc)
-                skips.append(
-                    {
-                        "asset": "*",
-                        "stage": f"{METHOD_JOINT_QCNN}@{_theta_tag(theta)}",
-                        "reason": str(exc),
-                    }
-                )
+                skips.append(_skip("*", f"{METHOD_JOINT_QCNN}@{_theta_tag(theta)}", exc))
 
         per_method: dict[str, list[BacktestResult]] = {}
         for method in cfg.methods:

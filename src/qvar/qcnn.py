@@ -12,16 +12,10 @@ zero/left-branch subgradient is used. Everything runs in double precision.
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
 
 from .data import DEFAULT_WINDOW, Scaler, WindowSet, invert_scaler
 from .errors import DomainError, InsufficientDataError, ShapeError
@@ -429,24 +423,16 @@ def train(
     state = AdadeltaState.for_params(params, cfg.rho, cfg.epsilon)
     time = inputs.shape[1]
     workspaces: dict[int, _Workspace] = {}
-    # single-threaded BLAS: the step's matrix products are too small for
-    # thread fan-out to pay off, and it keeps results pinned to one code path
-    limiter = (
-        threadpool_limits(limits=1, user_api="blas")
-        if threadpool_limits is not None
-        else nullcontext()
-    )
-    with limiter:
-        for _ in range(cfg.epochs):
-            perm = rng.permutation(n)
-            for lo in range(0, n, cfg.batch_size):
-                idx = perm[lo : lo + cfg.batch_size]
-                batch = len(idx)
-                ws = workspaces.get(batch)
-                if ws is None:
-                    ws = workspaces.setdefault(batch, _Workspace(model, batch, time))
-                _, grads = _loss_and_grads(model, inputs[idx], targets[idx], ws)
-                adadelta_step(params, grads, state)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = perm[lo : lo + cfg.batch_size]
+            batch = len(idx)
+            ws = workspaces.get(batch)
+            if ws is None:
+                ws = workspaces.setdefault(batch, _Workspace(model, batch, time))
+            _, grads = _loss_and_grads(model, inputs[idx], targets[idx], ws)
+            adadelta_step(params, grads, state)
     return model
 
 

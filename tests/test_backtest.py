@@ -10,7 +10,6 @@ from qvar.backtest import (
     dq_regressors,
     dq_test,
     hits,
-    regularized_gamma_q,
     score_forecast,
 )
 from qvar.errors import DomainError, InsufficientDataError, ShapeError
@@ -74,12 +73,6 @@ class TestChi2:
         # P(chi2_1 > x) = 2 (1 - Phi(sqrt(x))) = erfc(sqrt(x/2))
         for x in (0.1, 1.0, 3.8415, 10.0, 30.0):
             assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), abs=1e-12)
-
-    def test_gamma_q_domain(self):
-        with pytest.raises(DomainError):
-            regularized_gamma_q(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            regularized_gamma_q(1.0, -1.0)
 
 
 def lstsq_dq_oracle(hit, var, theta, hit_lags=3):

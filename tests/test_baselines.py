@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import eye, hstack
 
 from qvar.baselines import (
     GarchParams,
@@ -17,9 +19,9 @@ from qvar.baselines import (
     gaussian_quantile,
     linear_qr_var,
     linear_qr_var_path,
-    smoothed_pinball,
 )
 from qvar.errors import DomainError, InsufficientDataError, ShapeError
+from qvar.synthlab import GARCH11, SimSpec, simulate
 
 
 def sorted_quantile_oracle(xs, theta):
@@ -271,8 +273,23 @@ class TestLinearQr:
             recent = np.array([r[t - 1], r[t - 2], r[t - 3], r[t - 4]])
             assert path[t - 50] == pytest.approx(linear_qr_var(c, recent), abs=1e-14)
 
-    def test_smoothed_pinball_matches_exact_outside_band(self):
-        u = np.array([-1.0, -0.5, 0.5, 2.0])
-        theta = 0.3
-        exact = np.where(u >= 0, theta * u, (theta - 1) * u)
-        assert np.allclose(smoothed_pinball(u, theta, 1e-6), exact, atol=1e-6)
+    @pytest.mark.parametrize("theta", [0.05, 0.01, 0.001])
+    def test_objective_equals_primal_lp_optimum(self, theta):
+        # the primal LP: min theta*1'u+ + (1-theta)*1'u- s.t. X b + u+ - u- = y, u+- >= 0
+        garch = GarchParams(omega=0.05, alpha=0.1, beta=0.85, mu=0.0)
+        for seed in (1, 2, 3):
+            series, _ = simulate(SimSpec(process=GARCH11, length=2000, seed=seed, garch=garch))
+            r = series.train
+            n = r.size - 4
+            X = np.column_stack([np.ones(n)] + [r[3 - j : n + 3 - j] for j in range(4)])
+            y = r[4:]
+            cost = np.concatenate([np.zeros(5), np.full(n, theta), np.full(n, 1.0 - theta)])
+            A_eq = hstack([X, eye(n), -eye(n)])
+            bounds = [(None, None)] * 5 + [(0.0, None)] * (2 * n)
+            primal = linprog(cost, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs")
+            assert primal.status == 0
+
+            coeffs = fit_linear_qr(r, theta)
+            u = y - (coeffs.intercept + X[:, 1:] @ coeffs.lag_weights)
+            fitted = float(np.sum(np.where(u >= 0, theta * u, (theta - 1) * u)))
+            assert fitted == pytest.approx(primal.fun, rel=1e-9), f"seed {seed}"

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import qvar.harness
 from qvar.backtest import BacktestResult
 from qvar.baselines import GarchParams
 from qvar.data import ReturnSeries, fit_scaler, make_windows, pool_windows
-from qvar.errors import InsufficientDataError
+from qvar.errors import DomainError, InsufficientDataError
 from qvar.harness import (
     ExperimentConfig,
     aggregate,
@@ -264,8 +265,13 @@ class TestRunExperiment:
 
     def test_worker_pool_matches_serial(self, tmp_path):
         manifest = write_panel(tmp_path)
-        serial = fast_cfg(tmp_path, manifest=manifest, output_dir=tmp_path / "o1", workers=1)
-        pooled = fast_cfg(tmp_path, manifest=manifest, output_dir=tmp_path / "o2", workers=3)
+        methods = ("constant", "garch", "linear_qr", "qcnn")
+        serial = fast_cfg(
+            tmp_path, manifest=manifest, output_dir=tmp_path / "o1", methods=methods, workers=1
+        )
+        pooled = fast_cfg(
+            tmp_path, manifest=manifest, output_dir=tmp_path / "o2", methods=methods, workers=3
+        )
         run_experiment(serial)
         run_experiment(pooled)
         for p in sorted(serial.output_dir.iterdir()):
@@ -288,6 +294,34 @@ class TestRunExperiment:
         payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
         stages = [s["stage"] for s in payload["skipped"]]
         assert "garch@0.05" in stages
+
+    def test_any_qvar_error_is_a_recorded_skip(self, tmp_path, monkeypatch):
+        manifest = write_panel(tmp_path)
+        real_fit = qvar.harness.fit_garch
+        calls = []
+
+        def fit_failing_on_second_asset(train_returns):
+            calls.append(None)
+            if len(calls) == 2:  # workers=1 runs the assets in manifest order
+                raise DomainError("persistence rounded to 1")
+            return real_fit(train_returns)
+
+        monkeypatch.setattr(qvar.harness, "fit_garch", fit_failing_on_second_asset)
+        cfg = fast_cfg(tmp_path, manifest=manifest, workers=1)
+        run_experiment(cfg)
+        expected_rows = {"garch": ["asset0", "asset2"], "constant": ["asset0", "asset1", "asset2"]}
+        for method, assets in expected_rows.items():
+            rows = (cfg.output_dir / f"results_{method}_theta0.05.csv").read_text().splitlines()
+            assert [row.split(",")[0] for row in rows[1:]] == assets
+        payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
+        assert payload["skipped"] == [
+            {
+                "asset": "asset1",
+                "stage": "garch@0.05",
+                "error": "DomainError",
+                "reason": "persistence rounded to 1",
+            }
+        ]
 
     def test_empty_manifest_is_error(self, tmp_path):
         manifest = tmp_path / "assets.txt"

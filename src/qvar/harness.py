@@ -213,23 +213,42 @@ def run_joint_qcnn(
     series_list: list[ReturnSeries],
     theta: float,
     cfg: ExperimentConfig,
+    skips: list[dict] | None = None,
 ) -> tuple[dict[str, tuple[VarForecast, BacktestResult]], QcnnModel]:
     """Train one model on the pooled windows of every asset, then forecast each.
 
     Windows are scaled per asset before pooling; the training shuffle mixes
-    them across assets. Predictions unscale with each asset's own scaler.
+    them across assets. Predictions unscale with each asset's own scaler. An
+    asset whose scaling, windowing or forecast fails is left out with a
+    warning, and appended to `skips` as a run-manifest entry when a list is
+    given; the model trains when at least two assets remain.
     """
-    if len(series_list) < 2:
+    stage = f"{METHOD_JOINT_QCNN}@{_theta_tag(theta)}"
+
+    def leave_out(series: ReturnSeries, exc: QvarError) -> None:
+        logger.warning("joint_qcnn at theta=%s leaves out %s: %s", theta, series.asset_id, exc)
+        if skips is not None:
+            skips.append(_skip(series.asset_id, stage, exc))
+
+    pooled_series, window_sets = [], []
+    for series in series_list:
+        try:
+            scaler = fit_scaler(series)
+            windows = make_windows(series, scaler, window=cfg.window, stride=cfg.stride)
+        except QvarError as exc:
+            leave_out(series, exc)
+            continue
+        pooled_series.append(series)
+        window_sets.append(windows)
+    if len(pooled_series) < 2:
         raise InsufficientDataError("joint training needs at least 2 assets")
-    window_sets = []
-    for series in series_list:
-        scaler = fit_scaler(series)
-        window_sets.append(make_windows(series, scaler, window=cfg.window, stride=cfg.stride))
-    pooled = pool_windows(window_sets)
-    model = train(pooled, theta, _train_config_for(cfg, "joint_qcnn", theta))
+    model = train(pool_windows(window_sets), theta, _train_config_for(cfg, "joint_qcnn", theta))
     out = {}
-    for series in series_list:
-        out[series.asset_id] = run_single(series, theta, METHOD_JOINT_QCNN, cfg, model=model)
+    for series in pooled_series:
+        try:
+            out[series.asset_id] = run_single(series, theta, METHOD_JOINT_QCNN, cfg, model=model)
+        except QvarError as exc:
+            leave_out(series, exc)
     return out, model
 
 
@@ -391,7 +410,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         joint: dict[str, tuple[VarForecast, BacktestResult]] = {}
         if METHOD_JOINT_QCNN in cfg.methods:
             try:
-                joint, joint_model = run_joint_qcnn(series_list, theta, cfg)
+                joint, joint_model = run_joint_qcnn(series_list, theta, cfg, skips)
                 save_model(joint_model, output_dir / f"joint_qcnn_theta{_theta_tag(theta)}.json")
             except QvarError as exc:
                 logger.warning("joint_qcnn skipped at theta=%s: %s", theta, exc)

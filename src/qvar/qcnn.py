@@ -198,63 +198,89 @@ def causal_conv_forward(x, layer: ConvLayer):
     return z
 
 
+# A training step runs forward and backward over consecutive sub-batches of
+# this many sequence positions (at least one whole sequence). Each layer's
+# buffers then stay in L2 cache instead of streaming a whole batch through L3
+# on every pass, and each product stays small enough that OpenBLAS runs it on
+# one thread; threading whole-batch products doubled CPU time for no gain.
+SUB_BATCH_COLUMNS = 2048
+
+
 class _Workspace:
-    """Preallocated buffers for one batch geometry; reused across steps."""
+    """Preallocated buffers for sub-batches of up to `batch` sequences of length `time`.
+
+    A sub-batch holds max(1, SUB_BATCH_COLUMNS // time) sequences, fewer when
+    `batch` is smaller; the buffers are reused across training steps.
+
+    Layer i reads xin[i], shape (k*cin + 1, batch*time): its k taps, oldest
+    first and the current one last, then a constant row of ones that adds the
+    bias through the matmul with wfull[i] = [weights by tap | biases]. Each
+    layer writes its output straight into out[i], the next layer's current-tap
+    rows (the head writes into q), so a rectifier layer's activations are the
+    next layer's current tap. The first `lag` positions of each sequence in a
+    lagged tap are zero and are never written.
+    """
 
     def __init__(self, model: QcnnModel, batch: int, time: int):
-        self.batch = batch
-        self.time = time
-        self.xcat: list[np.ndarray] = []
-        self.act: list[np.ndarray] = []
-        self.dxcat: list[np.ndarray] = []
-        self.dz: list[np.ndarray] = []
+        self.batch = min(batch, max(1, SUB_BATCH_COLUMNS // time))
+        cols = self.batch * time
+        self.xin: list[np.ndarray] = []
+        self.wfull: list[np.ndarray] = []
+        self.grad: list[np.ndarray] = []
+        self.dx: list[np.ndarray] = []
+        self.cur: list[np.ndarray] = []
         for layer in model.layers:
             k, cin, cout = layer.kernel_size, layer.in_channels, layer.out_channels
-            self.xcat.append(np.zeros((k * cin, batch, time)))
-            self.act.append(np.empty((cout, batch, time)))
-            self.dxcat.append(np.empty((k * cin, batch, time)))
-            self.dz.append(np.empty((cout, batch, time)))
-        self.wcat: list[np.ndarray | None] = [None] * len(model.layers)
+            xin = np.zeros((k * cin + 1, cols))
+            xin[-1] = 1.0
+            self.xin.append(xin)
+            self.cur.append(xin[(k - 1) * cin : k * cin])
+            self.wfull.append(np.empty((cout, k * cin + 1)))
+            self.grad.append(np.empty((cout, k * cin + 1)))
+            self.dx.append(np.empty(k * cin * cols))
+        self.q = np.empty((1, cols))
+        self.out = [*self.cur[1:], self.q]
+
+    def pack(self, model: QcnnModel) -> None:
+        """Copy the model's current parameters into wfull."""
+        for layer, w in zip(model.layers, self.wfull):
+            cout, cin, k = layer.weights.shape
+            w[:, :-1] = layer.weights.transpose(0, 2, 1).reshape(cout, k * cin)
+            w[:, -1] = layer.biases
 
 
 def _forward_batch(
     model: QcnnModel, X: np.ndarray, ws: _Workspace, stable: bool = False
 ) -> np.ndarray:
-    """Batched forward over (batch, T) single-channel sequences; returns (batch, T).
+    """Forward up to ws.batch single-channel sequences X (m, T); returns (m, T).
 
-    With stable=True the channel reduction runs through einsum, whose
-    per-column summation order does not depend on the sequence length, so
-    outputs at a given position are bitwise identical no matter how much
-    future input follows. BLAS matmul (the fast default for training) may
-    flip last bits in the final columns when lengths differ.
+    Reads the parameters packed by ws.pack. With stable=True the channel
+    reduction runs through einsum, whose per-column summation order does
+    not depend on the sequence length, so outputs at a given position are
+    bitwise identical no matter how much future input follows; prediction
+    uses it. Training uses BLAS matmul, which may flip last bits in the
+    final columns when lengths differ.
     """
-    T = ws.time
-    x = X[None]  # (1, batch, T)
+    m, T = X.shape
+    cols = m * T
+    ws.cur[0][:, :cols] = X.reshape(1, cols)
     for i, layer in enumerate(model.layers):
-        k, cin, cout = layer.kernel_size, layer.in_channels, layer.out_channels
-        xc = ws.xcat[i]
-        for j in range(k):
+        k, cin = layer.kernel_size, layer.in_channels
+        xin = ws.xin[i][:, :cols]
+        taps = xin.reshape(-1, m, T)
+        cur = taps[(k - 1) * cin : k * cin]
+        for j in range(k - 1):
             lag = (k - 1 - j) * layer.dilation
-            block = xc[j * cin : (j + 1) * cin]
-            if lag == 0:
-                block[:] = x
-            elif lag >= T:
-                block[:] = 0.0
-            else:
-                block[:, :, :lag] = 0.0
-                block[:, :, lag:] = x[:, :, :-lag]
-        wcat = layer.weights.transpose(0, 2, 1).reshape(cout, k * cin)
-        ws.wcat[i] = wcat
-        a = ws.act[i]
+            if lag < T:
+                taps[j * cin : (j + 1) * cin, :, lag:] = cur[:, :, :-lag]
+        out = ws.out[i][:, :cols]
         if stable:
-            np.einsum("oc,cn->on", wcat, xc.reshape(k * cin, -1), out=a.reshape(cout, -1))
+            np.einsum("oc,cn->on", ws.wfull[i], xin, out=out)
         else:
-            np.matmul(wcat, xc.reshape(k * cin, -1), out=a.reshape(cout, -1))
-        a += layer.biases[:, None, None]
+            np.matmul(ws.wfull[i], xin, out=out)
         if layer.activation == RECTIFIER:
-            np.maximum(a, 0.0, out=a)
-        x = a
-    return x[0]
+            np.maximum(out, 0.0, out=out)
+    return ws.q[0, :cols].reshape(m, T)
 
 
 def pinball_loss(y, q, theta: float) -> float:
@@ -270,42 +296,57 @@ def pinball_loss(y, q, theta: float) -> float:
 
 
 def _loss_and_grads(model, X, Y, ws) -> tuple[float, list[np.ndarray]]:
-    """Mean pinball loss over a batch and its exact parameter gradients."""
-    theta = model.theta
-    q = _forward_batch(model, X, ws)
-    diff = Y - q
-    loss = float(np.mean(np.where(diff >= 0, theta * diff, (theta - 1.0) * diff)))
-    n = diff.size
-    # left-branch subgradient at the kink: diff == 0 takes the theta branch
-    dact = (np.where(diff >= 0, -theta, 1.0 - theta) / n)[None]
+    """Mean pinball loss over a batch and its exact parameter gradients.
 
+    The batch runs forward and backward in consecutive sub-batches of
+    ws.batch sequences. The pinball gradient is divided by the element count
+    of the whole batch, so the sub-batch gradients, summed in order, are the
+    batch-mean gradients.
+    """
+    theta = model.theta
     layers = model.layers
-    grads: list[np.ndarray | None] = [None] * (2 * len(layers))
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        k, cin, cout = layer.kernel_size, layer.in_channels, layer.out_channels
-        if layer.activation == RECTIFIER:
-            dz = ws.dz[i]
-            np.multiply(dact, ws.act[i] > 0, out=dz)
-        else:
-            dz = dact
-        dz2 = dz.reshape(cout, -1)
-        dwcat = dz2 @ ws.xcat[i].reshape(k * cin, -1).T
-        grads[2 * i] = np.ascontiguousarray(dwcat.reshape(cout, k, cin).transpose(0, 2, 1))
-        grads[2 * i + 1] = dz2.sum(axis=1)
-        if i == 0:
-            break
-        dxc = ws.dxcat[i]
-        np.matmul(ws.wcat[i].T, dz2, out=dxc.reshape(k * cin, -1))
-        # fold the taps back onto the previous layer's activations
-        dprev = dxc[(k - 1) * cin : k * cin]
-        T = ws.time
-        for j in range(k - 1):
-            lag = (k - 1 - j) * layer.dilation
-            if lag < T:
-                dprev[:, :, :-lag] += dxc[j * cin : (j + 1) * cin][:, :, lag:]
-        dact = dprev
-    return loss, grads
+    ws.pack(model)
+    n = X.size
+    loss = 0.0
+    for lo in range(0, len(X), ws.batch):
+        q = _forward_batch(model, X[lo : lo + ws.batch], ws)
+        m, T = q.shape
+        cols = m * T
+        diff = Y[lo : lo + ws.batch] - q
+        loss += float(np.sum(np.where(diff >= 0, theta * diff, (theta - 1.0) * diff)))
+        # left-branch subgradient at the kink: diff == 0 takes the theta branch
+        dact = (np.where(diff >= 0, -theta, 1.0 - theta) / n).reshape(1, cols)
+        for i in range(len(layers) - 1, -1, -1):
+            layer = layers[i]
+            k, cin = layer.kernel_size, layer.in_channels
+            if layer.activation == RECTIFIER:
+                np.multiply(dact, ws.out[i][:, :cols] > 0, out=dact)
+            xin = ws.xin[i][:, :cols]
+            if lo == 0:
+                np.matmul(dact, xin.T, out=ws.grad[i])
+            else:
+                ws.grad[i] += dact @ xin.T
+            if i == 0:
+                break
+            # one flat row per tap, so that the fold below adds contiguous runs
+            dx = ws.dx[i][: k * cin * cols].reshape(k, cin * cols)
+            np.matmul(ws.wfull[i][:, :-1].T, dact, out=dx.reshape(k * cin, cols))
+            # fold the lagged taps back onto the previous layer's activations:
+            # zero each tap's gradient at its padded positions, then a single
+            # shifted add carries the rest and adds only zeros across sequences
+            dprev = dx[k - 1]
+            for j in range(k - 1):
+                lag = (k - 1 - j) * layer.dilation
+                if lag < T:
+                    dx[j].reshape(cin * m, T)[:, :lag] = 0.0
+                    dprev[:-lag] += dx[j, lag:]
+            dact = dprev.reshape(cin, cols)
+    grads: list[np.ndarray] = []
+    for layer, g in zip(layers, ws.grad):
+        cout, cin, k = layer.weights.shape
+        grads.append(np.ascontiguousarray(g[:, :-1].reshape(cout, k, cin).transpose(0, 2, 1)))
+        grads.append(g[:, -1].copy())
+    return loss / n, grads
 
 
 def _as_batch(x) -> np.ndarray:
@@ -324,6 +365,7 @@ def _stable_forward(model: QcnnModel, X: np.ndarray) -> np.ndarray:
     if T == 1:
         X = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
     ws = _Workspace(model, X.shape[0], X.shape[1])
+    ws.pack(model)
     return _forward_batch(model, X, ws, stable=True)[:, :T]
 
 
@@ -343,7 +385,7 @@ def backward(model: QcnnModel, x, y) -> list[np.ndarray]:
     if X.shape != Y.shape:
         raise ShapeError(f"input {X.shape} and target {Y.shape} lengths differ")
     ws = _Workspace(model, 1, X.shape[1])
-    _, grads = _loss_and_grads(model, X[0][None], Y[0][None], ws)
+    _, grads = _loss_and_grads(model, X, Y, ws)
     return grads
 
 
@@ -421,16 +463,11 @@ def train(
         raise DomainError(f"model targets theta={model.theta}, asked to train at {theta}")
     params = model_parameters(model)
     state = AdadeltaState.for_params(params, cfg.rho, cfg.epsilon)
-    time = inputs.shape[1]
-    workspaces: dict[int, _Workspace] = {}
+    ws = _Workspace(model, min(cfg.batch_size, n), inputs.shape[1])
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            batch = len(idx)
-            ws = workspaces.get(batch)
-            if ws is None:
-                ws = workspaces.setdefault(batch, _Workspace(model, batch, time))
             _, grads = _loss_and_grads(model, inputs[idx], targets[idx], ws)
             adadelta_step(params, grads, state)
     return model

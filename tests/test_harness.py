@@ -323,6 +323,20 @@ class TestRunExperiment:
             }
         ]
 
+    def test_flat_asset_leaves_joint_model_to_the_rest(self, tmp_path):
+        manifest = write_panel(tmp_path, n_assets=2)
+        flat = ReturnSeries(asset_id="flat", returns=np.zeros(399), split_index=300)
+        write_price_csv(flat, tmp_path / "flat.csv")
+        manifest.write_text("asset0.csv\nflat.csv\nasset1.csv\n")
+        cfg = fast_cfg(tmp_path, manifest=manifest, methods=("joint_qcnn",))
+        run_experiment(cfg)
+        rows = (cfg.output_dir / "results_joint_qcnn_theta0.05.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["asset0", "asset1"]
+        payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
+        assert [(s["asset"], s["stage"], s["error"]) for s in payload["skipped"]] == [
+            ("flat", "joint_qcnn@0.05", "DegenerateDataError")
+        ]
+
     def test_empty_manifest_is_error(self, tmp_path):
         manifest = tmp_path / "assets.txt"
         manifest.write_text("")

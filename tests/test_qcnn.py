@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qvar.data import Scaler, WindowSet
 from qvar.errors import DomainError, InsufficientDataError, ShapeError
 from qvar.qcnn import (
     IDENTITY,
     RECTIFIER,
+    SUB_BATCH_COLUMNS,
     AdadeltaState,
     ConvLayer,
     QcnnModel,
@@ -26,6 +29,7 @@ from qvar.qcnn import (
     save_model,
     train,
 )
+from qvar.qcnn import _loss_and_grads, _Workspace
 
 
 def small_model(rng, theta=0.2, channels=2, depth=2, kernel=2):
@@ -243,6 +247,42 @@ class TestBackward:
         p[0, 0, 0] = orig
         fd_sum = (up - down) / (2 * h)
         assert grads[0][0, 0, 0] * len(y) == pytest.approx(fd_sum, rel=1e-3, abs=1e-9)
+
+
+class TestTrainingKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=st.integers(1, 40),
+        time=st.one_of(
+            st.integers(1, 63),  # below the receptive field, and below 32 the largest dilation
+            st.integers(64, SUB_BATCH_COLUMNS),
+            st.integers(SUB_BATCH_COLUMNS + 1, SUB_BATCH_COLUMNS + 100),  # one sequence per sub-batch
+        ),
+        theta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=30, time=100, theta=0.05, seed=1)  # sub-batches of 20 and 10
+    @example(batch=3, time=SUB_BATCH_COLUMNS + 1, theta=0.5, seed=2)
+    @example(batch=1, time=1, theta=0.01, seed=3)
+    def test_batch_gradients_are_weighted_sequence_gradients(self, batch, time, theta, seed):
+        # the sub-batched kernel must give the batch-mean loss and gradient:
+        # each sequence's mean-loss gradient weighted by its share of elements
+        rng = np.random.default_rng(seed)
+        model = build_model(theta, rng=rng)
+        for biases in model_parameters(model)[1::2]:
+            biases[:] = rng.uniform(-0.1, 0.1, biases.shape)
+        X = rng.standard_normal((batch, time))
+        Y = rng.standard_normal((batch, time))
+        loss, grads = _loss_and_grads(model, X, Y, _Workspace(model, batch, time))
+
+        share = time / X.size
+        per_sequence = [backward(model, x, y) for x, y in zip(X, Y)]
+        for k, got in enumerate(grads):
+            expected = sum(share * g[k] for g in per_sequence)
+            scale = max(float(np.max(np.abs(expected))), 1e-300)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+        q = np.vstack([forward(model, x)[0] for x in X])
+        assert loss == pytest.approx(pinball_loss(Y, q, theta), rel=1e-12)
 
 
 class TestAdadelta:

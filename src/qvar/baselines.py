@@ -158,19 +158,16 @@ class GarchParams:
 
 def _variance_recursion(eps2: np.ndarray, omega: float, alpha: float, beta: float, init_var: float):
     # sigma2[t] = (omega + alpha*eps2[t-1]) + beta*sigma2[t-1] is a first-order
-    # IIR filter, so lfilter runs the exact recursion in one call
-    driver = np.empty(eps2.size)
+    # IIR filter, so lfilter runs the exact recursion in one call; it runs one
+    # day past the data, so sigma2[-1] is the next day's variance
+    driver = np.empty(eps2.size + 1)
     driver[0] = init_var
-    driver[1:] = omega + alpha * eps2[:-1]
+    driver[1:] = omega + alpha * eps2
     return lfilter([1.0], [1.0, -beta], driver)
 
 
-def garch_variance_path(returns, params: GarchParams, init_var: float | None = None):
-    """Conditional variance recursion sigma2[t] = omega + alpha*eps[t-1]^2 + beta*sigma2[t-1].
-
-    eps[t] = r[t] - mu and sigma2[0] = init_var (the unconditional variance
-    when not given). Each sigma2[t] depends only on returns before t.
-    """
+def _variances_ahead(returns, params: GarchParams, init_var: float | None):
+    # the variance recursion over the returns, run one day past them (n + 1 values)
     returns = np.asarray(returns, dtype=float)
     if returns.size < 1:
         raise InsufficientDataError("need at least one observation for the variance recursion")
@@ -182,16 +179,45 @@ def garch_variance_path(returns, params: GarchParams, init_var: float | None = N
     return _variance_recursion(eps2, params.omega, params.alpha, params.beta, init_var)
 
 
+def _negloglik(eps2: np.ndarray, sigma2: np.ndarray) -> float:
+    # Gaussian negative log-likelihood of residuals with variances sigma2
+    return float(0.5 * np.sum(np.log(2.0 * np.pi) + np.log(sigma2) + eps2 / sigma2))
+
+
+def garch_variance_path(returns, params: GarchParams, init_var: float | None = None):
+    """Conditional variance recursion sigma2[t] = omega + alpha*eps[t-1]^2 + beta*sigma2[t-1].
+
+    eps[t] = r[t] - mu and sigma2[0] = init_var (the unconditional variance
+    when not given). Each sigma2[t] depends only on returns before t.
+    """
+    return _variances_ahead(returns, params, init_var)[:-1]
+
+
 def garch_loglik(returns, params: GarchParams, init_var: float | None = None) -> float:
     """Gaussian log-likelihood of the returns under the variance recursion."""
     returns = np.asarray(returns, dtype=float)
     sigma2 = garch_variance_path(returns, params, init_var)
-    eps2 = (returns - params.mu) ** 2
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi) + np.log(sigma2) + eps2 / sigma2))
+    return -_negloglik((returns - params.mu) ** 2, sigma2)
 
 
 def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
+
+
+def _logistic(x: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        # exp(-x) is beyond the double range, so the logistic is 0 to double precision
+        return 0.0
+
+
+def _garch_coefficients(raw) -> tuple[float, float, float]:
+    # (log omega, logit persistence, logit alpha-share) -> (omega, alpha, beta)
+    log_omega, raw_p, raw_s = raw
+    persistence = _logistic(raw_p)
+    share = _logistic(raw_s)
+    return math.exp(log_omega), persistence * share, persistence * (1.0 - share)
 
 
 def fit_garch(train_returns) -> GarchParams:
@@ -200,7 +226,8 @@ def fit_garch(train_returns) -> GarchParams:
     Maximizes the Gaussian log-likelihood with sigma2[0] set to the sample
     variance of the demeaned returns. Constraints (omega > 0, alpha, beta >= 0,
     alpha + beta < 1) are enforced by optimizing Nelder-Mead over
-    (log omega, logit persistence, logit alpha-share).
+    (log omega, logit persistence, logit alpha-share). Raises FitError when
+    the optimum found rounds onto the boundary, such as alpha + beta = 1.
     """
     returns = np.asarray(train_returns, dtype=float)
     if returns.size < MIN_GARCH_OBS:
@@ -215,14 +242,8 @@ def fit_garch(train_returns) -> GarchParams:
     eps2 = eps * eps
 
     def negloglik(raw):
-        log_omega, raw_p, raw_s = raw
-        persistence = 1.0 / (1.0 + math.exp(-raw_p))
-        share = 1.0 / (1.0 + math.exp(-raw_s))
-        omega = math.exp(log_omega)
-        alpha = persistence * share
-        beta = persistence * (1.0 - share)
-        sigma2 = _variance_recursion(eps2, omega, alpha, beta, sample_var)
-        return 0.5 * np.sum(np.log(2.0 * np.pi) + np.log(sigma2) + eps2 / sigma2)
+        omega, alpha, beta = _garch_coefficients(raw)
+        return _negloglik(eps2, _variance_recursion(eps2, omega, alpha, beta, sample_var)[:-1])
 
     alpha0, beta0 = 0.05, 0.90
     p0 = alpha0 + beta0
@@ -241,15 +262,11 @@ def fit_garch(train_returns) -> GarchParams:
             f"GARCH optimizer ended below the starting likelihood "
             f"({-result.fun:.3f} < {-nll0:.3f}): {result.message}"
         )
-    log_omega, raw_p, raw_s = result.x
-    persistence = 1.0 / (1.0 + math.exp(-raw_p))
-    share = 1.0 / (1.0 + math.exp(-raw_s))
-    return GarchParams(
-        omega=math.exp(log_omega),
-        alpha=persistence * share,
-        beta=persistence * (1.0 - share),
-        mu=mu,
-    )
+    omega, alpha, beta = _garch_coefficients(result.x)
+    try:
+        return GarchParams(omega=omega, alpha=alpha, beta=beta, mu=mu)
+    except DomainError as exc:
+        raise FitError(f"GARCH optimum rounds onto the parameter boundary: {exc}") from exc
 
 
 def garch_var(
@@ -258,42 +275,29 @@ def garch_var(
     theta: float,
     init_var: float | None = None,
 ) -> float:
-    """One-step-ahead VaR: -(mu + sigma[t+1] * z_theta) given returns up to t.
-
-    sigma[t+1] comes from running the variance recursion over the whole
-    history. With the default init_var (the unconditional variance) the
-    forecast depends only on the supplied history.
-    """
-    returns = np.asarray(returns, dtype=float)
-    sigma2 = garch_variance_path(returns, params, init_var)
-    eps_last = returns[-1] - params.mu
-    next_var = params.omega + params.alpha * eps_last**2 + params.beta * sigma2[-1]
-    z = gaussian_quantile(theta)
-    return float(-(params.mu + math.sqrt(next_var) * z))
+    """One-step-ahead VaR given returns up to t: the last element of garch_var_path."""
+    return float(garch_var_path(params, returns, len(returns), theta, init_var)[-1])
 
 
 def garch_var_path(
     params: GarchParams,
-    returns,
+    history,
     start: int,
     theta: float,
     init_var: float | None = None,
 ):
-    """VaR forecasts for days start..len(returns)-1, each using history < day.
+    """VaR forecasts -(mu + sigma[t] * z_theta) for days t = start..len(history).
 
-    Equivalent to calling garch_var(params, returns[:t], theta) for each t,
-    but runs the recursion once.
+    Element i uses only history[:start + i]; the last element forecasts the
+    day after the history. The variance recursion runs once over the whole
+    history. With the default init_var (the unconditional variance) each
+    forecast depends only on the supplied history.
     """
-    returns = np.asarray(returns, dtype=float)
-    if not 0 < start <= returns.size:
-        raise DomainError(f"start index {start} outside (0, {returns.size}]")
-    sigma2 = garch_variance_path(returns, params, init_var)
-    eps2 = (returns - params.mu) ** 2
-    # variance for day t is built from eps[t-1] and sigma2[t-1]
-    idx = np.arange(start - 1, returns.size - 1)
-    sigma_next = np.sqrt(params.omega + params.alpha * eps2[idx] + params.beta * sigma2[idx])
+    sigma2 = _variances_ahead(history, params, init_var)
+    if not 0 < start < sigma2.size:
+        raise DomainError(f"start index {start} outside (0, {sigma2.size - 1}]")
     z = gaussian_quantile(theta)
-    return -(params.mu + sigma_next * z)
+    return -(params.mu + np.sqrt(sigma2[start:]) * z)
 
 
 # ---------------------------------------------------------------------------
@@ -354,27 +358,32 @@ def fit_linear_qr(train_returns, theta: float, lags: int = QR_LAGS) -> QrCoeffic
     return QrCoefficients(intercept=float(beta[0]), lag_weights=beta[1:], theta=theta)
 
 
-def linear_qr_predict(coeffs: QrCoefficients, recent_returns) -> float:
-    """Quantile forecast from the most recent `lags` returns (most recent first)."""
+def linear_qr_var(coeffs: QrCoefficients, recent_returns) -> float:
+    """One-day VaR from the most recent `lags` returns, most recent first.
+
+    The last element of linear_qr_var_path over those returns.
+    """
     recent = np.asarray(recent_returns, dtype=float)
     if recent.shape != coeffs.lag_weights.shape:
         raise ShapeError(
             f"expected {coeffs.lag_weights.size} lagged returns, got {recent.size}"
         )
-    return float(coeffs.intercept + np.dot(coeffs.lag_weights, recent))
+    return float(linear_qr_var_path(coeffs, recent[::-1], recent.size)[-1])
 
 
-def linear_qr_var(coeffs: QrCoefficients, recent_returns) -> float:
-    """VaR forecast: the negated quantile prediction."""
-    return -linear_qr_predict(coeffs, recent_returns)
+def linear_qr_var_path(coeffs: QrCoefficients, history, start: int):
+    """VaR forecasts -(intercept + lag_weights . lags) for days start..len(history).
 
-
-def linear_qr_var_path(coeffs: QrCoefficients, returns, start: int):
-    """VaR forecasts for days start..len(returns)-1 using each day's preceding lags."""
-    returns = np.asarray(returns, dtype=float)
+    Element i uses the `lags` returns before day start + i, all within
+    history[:start + i]; the last element forecasts the day after the history.
+    """
+    history = np.asarray(history, dtype=float)
     lags = coeffs.lag_weights.size
-    if start < lags:
-        raise DomainError(f"need {lags} observations before the first forecast day")
-    rows = np.arange(start, returns.size)
-    lag_block = np.column_stack([returns[rows - 1 - j] for j in range(lags)])
-    return -(coeffs.intercept + lag_block @ coeffs.lag_weights)
+    if not lags <= start <= history.size:
+        raise DomainError(f"start index {start} outside [{lags}, {history.size}]")
+    rows = np.arange(start, history.size + 1)
+    lag_block = np.column_stack([history[rows - 1 - j] for j in range(lags)])
+    # einsum sums each row in one order whatever the row count, so truncating
+    # the history leaves earlier forecasts unchanged bit for bit; BLAS matmul
+    # takes another route for a single row
+    return -(coeffs.intercept + np.einsum("tj,j->t", lag_block, coeffs.lag_weights))

@@ -164,14 +164,14 @@ def _coerce(name: str, raw, kind):
             if kind == "float":
                 return float(raw)
             if kind == "bool":
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+                return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
             if kind == "floats":
                 return _parse_float_list(raw)
             if kind == "strs":
                 return _parse_str_list(raw)
             if kind == "path":
                 return Path(raw)
-        except ValueError as exc:
+        except (ValueError, KeyError) as exc:
             raise QvarError(f"bad value for {name}: {raw!r}") from exc
     return raw
 

@@ -80,6 +80,10 @@ class ExperimentConfig:
         for t in self.thetas:
             if not 0.0 < t < 1.0:
                 raise DomainError(f"theta {t} must lie strictly inside (0, 1)")
+        for name in ("sample_size", "workers"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -172,19 +176,21 @@ def run_single(
     constant method emits the same value daily. For joint_qcnn a trained
     model must be supplied.
     """
-    returns = series.returns
+    # the path functions forecast days split..len(history); the last test
+    # return is never a forecast input
+    history = series.returns[:-1]
     split = series.split_index
     train_returns = series.train
 
     if method == METHOD_CONSTANT:
-        values = np.full(len(returns) - split, constant_var(train_returns, theta))
+        values = np.full(len(series) - split, constant_var(train_returns, theta))
     elif method == METHOD_GARCH:
         params = fit_garch(train_returns)
         init_var = float(np.var(train_returns - params.mu))
-        values = garch_var_path(params, returns, split, theta, init_var)
+        values = garch_var_path(params, history, split, theta, init_var)
     elif method == METHOD_LINEAR_QR:
         coeffs = fit_linear_qr(train_returns, theta)
-        values = linear_qr_var_path(coeffs, returns, split)
+        values = linear_qr_var_path(coeffs, history, split)
     elif method in (METHOD_QCNN, METHOD_JOINT_QCNN):
         scaler = fit_scaler(series)
         if method == METHOD_QCNN:
@@ -194,7 +200,7 @@ def run_single(
             )
         elif model is None:
             raise DomainError("joint_qcnn needs the jointly trained model")
-        values = predict_var_series(model, apply_scaler(returns, scaler), scaler, split)
+        values = predict_var_series(model, apply_scaler(history, scaler), scaler, split)
     else:
         raise DomainError(f"unknown method {method!r}")
 
@@ -388,7 +394,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         for series in series_list
     ]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(tasks))) if tasks else 1
+    workers = min(workers, max(1, len(tasks)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_task, tasks, chunksize=1))

@@ -358,24 +358,21 @@ def _as_batch(x) -> np.ndarray:
     return x[None, :]
 
 
-def _stable_forward(model: QcnnModel, X: np.ndarray) -> np.ndarray:
-    # einsum dispatches a different kernel for single-column inputs, so pad
-    # length-1 sequences with a trailing zero (causally invisible) and slice
-    T = X.shape[1]
-    if T == 1:
-        X = np.concatenate([X, np.zeros((X.shape[0], 1))], axis=1)
-    ws = _Workspace(model, X.shape[0], X.shape[1])
-    ws.pack(model)
-    return _forward_batch(model, X, ws, stable=True)[:, :T]
-
-
 def forward(model: QcnnModel, x):
     """Per-timestep quantile forecasts for one sequence; output[t] targets step t+1.
 
-    Accepts shape (T,) or (1, T) and returns (1, T).
+    Accepts shape (T,) or (1, T) and returns (1, T). Runs the length-stable
+    kernel, so truncating the sequence never changes earlier outputs.
     """
     X = _as_batch(x)
-    return _stable_forward(model, X)[0][None, :]
+    T = X.shape[1]
+    # einsum dispatches a different kernel for single-column inputs, so pad
+    # a length-1 sequence with a trailing zero (causally invisible) and slice
+    if T == 1:
+        X = np.concatenate([X, np.zeros((1, 1))], axis=1)
+    ws = _Workspace(model, 1, X.shape[1])
+    ws.pack(model)
+    return _forward_batch(model, X, ws, stable=True)[:, :T]
 
 
 def backward(model: QcnnModel, x, y) -> list[np.ndarray]:
@@ -473,42 +470,33 @@ def train(
     return model
 
 
-def quantile_path(model: QcnnModel, scaled_series):
-    """Forward the whole scaled series once; element t forecasts step t+1.
+def predict_var_series(model: QcnnModel, scaled_history, scaler: Scaler, start: int):
+    """VaR forecasts for days start..len(history) from one causal pass over the history.
 
-    Uses the length-stable kernel, so truncating the series never changes
-    earlier outputs, bit for bit.
+    Element i uses only scaled_history[:start + i]; the last element forecasts
+    the day after the history. The pass uses the length-stable kernel, so
+    truncating the history leaves earlier forecasts unchanged, bit for bit.
     """
-    return _stable_forward(model, _as_batch(scaled_series))[0]
+    scaled = np.asarray(scaled_history, dtype=float)
+    if not 0 < start <= scaled.size:
+        raise DomainError(f"start index {start} outside (0, {scaled.size}]")
+    q = forward(model, scaled)[0]
+    return -invert_scaler(q[start - 1 :], scaler)
 
 
 def predict_var(model: QcnnModel, recent_scaled, scaler: Scaler, window: int = DEFAULT_WINDOW) -> float:
     """One-day-ahead VaR from the last `window` scaled returns.
 
-    VaR = -(scaled quantile forecast at the last position, unscaled); the
-    value can come out negative when the forecast return quantile is
-    positive.
+    The last element of predict_var_series over them: -(the quantile
+    forecast at the last position, unscaled); the value can come out
+    negative when the forecast return quantile is positive.
     """
     recent = np.asarray(recent_scaled, dtype=float)
     if recent.ndim == 2 and recent.shape[0] == 1:
         recent = recent[0]
     if recent.shape != (window,):
         raise ShapeError(f"expected the last {window} scaled returns, got shape {recent.shape}")
-    q = quantile_path(model, recent)[-1]
-    return float(-invert_scaler(q, scaler))
-
-
-def predict_var_series(model: QcnnModel, scaled_returns, scaler: Scaler, start: int):
-    """VaR forecasts for days start..n-1 from one causal pass over the series.
-
-    The forecast for day t only sees scaled returns up to t-1, so truncating
-    the series after any day leaves earlier forecasts unchanged.
-    """
-    scaled = np.asarray(scaled_returns, dtype=float)
-    if not 0 < start < scaled.size + 1:
-        raise DomainError(f"start index {start} outside (0, {scaled.size}]")
-    q = quantile_path(model, scaled)
-    return -invert_scaler(q[start - 1 : scaled.size - 1], scaler)
+    return float(predict_var_series(model, recent, scaler, window)[-1])
 
 
 # ---------------------------------------------------------------------------

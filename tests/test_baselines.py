@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.sparse import eye, hstack
 
+import qvar.baselines
 from qvar.baselines import (
     GarchParams,
     QrCoefficients,
@@ -20,7 +22,7 @@ from qvar.baselines import (
     linear_qr_var,
     linear_qr_var_path,
 )
-from qvar.errors import DomainError, InsufficientDataError, ShapeError
+from qvar.errors import DomainError, FitError, InsufficientDataError, ShapeError
 from qvar.synthlab import GARCH11, SimSpec, simulate
 
 
@@ -173,6 +175,27 @@ class TestGarch:
         init = GarchParams(omega=0.05 * var, alpha=0.05, beta=0.90, mu=mu)
         assert garch_loglik(r, params, var) >= garch_loglik(r, init, var) - 1e-9
 
+    def test_fit_saturates_vanishing_alpha(self):
+        # Nelder-Mead drives the alpha-share logit far below -709 on these iid
+        # draws; the logistic must come out as 0 instead of overflowing
+        r = np.random.default_rng(4).standard_normal(500)
+        params = fit_garch(r)
+        assert params.alpha == 0.0
+        mu = float(np.mean(r))
+        var = float(np.var(r - mu))
+        init = GarchParams(omega=0.05 * var, alpha=0.05, beta=0.90, mu=mu)
+        assert garch_loglik(r, params, var) >= garch_loglik(r, init, var) - 1e-9
+
+    def test_fit_rejects_persistence_rounded_to_one(self, monkeypatch):
+        # a persistence logit of 40 gives a logistic of exactly 1.0 in doubles
+        def stop_at_unit_persistence(fun, x0, **kwargs):
+            x = np.array([x0[0], 40.0, x0[2]])
+            return SimpleNamespace(x=x, fun=fun(x0), message="stub")
+
+        monkeypatch.setattr(qvar.baselines, "minimize", stop_at_unit_persistence)
+        with pytest.raises(FitError, match="boundary"):
+            fit_garch(np.random.default_rng(12).standard_normal(500))
+
     def test_fit_needs_observations(self):
         with pytest.raises(InsufficientDataError):
             fit_garch(np.zeros(99))
@@ -194,9 +217,15 @@ class TestGarch:
         p = GarchParams(omega=2e-5, alpha=0.1, beta=0.8, mu=0.0002)
         init = float(np.var(r[:200] - p.mu))
         path = garch_var_path(p, r, 200, 0.05, init)
-        assert path.shape == (100,)
-        for t in (200, 250, 299):
-            assert path[t - 200] == pytest.approx(garch_var(p, r[:t], 0.05, init), abs=1e-14)
+        assert path.shape == (101,)
+        # oracle: the variance recursion as a plain loop, one day past the data
+        sig2 = [init]
+        for ret in r:
+            sig2.append(p.omega + p.alpha * (ret - p.mu) ** 2 + p.beta * sig2[-1])
+        z = gaussian_quantile(0.05)
+        for t in (200, 250, 299, 300):
+            oracle = -(p.mu + math.sqrt(sig2[t]) * z)
+            assert path[t - 200] == pytest.approx(oracle, abs=1e-14)
 
     def test_var_path_no_lookahead(self):
         rng = np.random.default_rng(14)
@@ -205,7 +234,7 @@ class TestGarch:
         init = float(np.var(r[:200]))
         full = garch_var_path(p, r, 200, 0.05, init)
         cut = garch_var_path(p, r[:250], 200, 0.05, init)
-        assert np.array_equal(full[:50], cut)
+        assert np.array_equal(full[:51], cut)
 
 
 class TestLinearQr:
@@ -269,9 +298,11 @@ class TestLinearQr:
         r = rng.standard_normal(60)
         c = QrCoefficients(intercept=0.01, lag_weights=np.array([0.4, -0.3, 0.2, -0.1]), theta=0.05)
         path = linear_qr_var_path(c, r, 50)
-        for t in (50, 55, 59):
-            recent = np.array([r[t - 1], r[t - 2], r[t - 3], r[t - 4]])
-            assert path[t - 50] == pytest.approx(linear_qr_var(c, recent), abs=1e-14)
+        assert path.shape == (11,)
+        for t in (50, 55, 59, 60):
+            lags = [r[t - 1], r[t - 2], r[t - 3], r[t - 4]]
+            oracle = -(c.intercept + sum(w * x for w, x in zip(c.lag_weights, lags)))
+            assert path[t - 50] == pytest.approx(oracle, abs=1e-14)
 
     @pytest.mark.parametrize("theta", [0.05, 0.01, 0.001])
     def test_objective_equals_primal_lp_optimum(self, theta):

@@ -141,6 +141,21 @@ class TestRun:
         assert code == 0
         assert (out_dir / "results_constant_theta0.05.csv").exists()
 
+    def test_misspelled_boolean_rejected(self, tmp_path, capsys):
+        manifest = write_panel(tmp_path, n_assets=1)
+        cfg = write_config(tmp_path, manifest, tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace("[train]", "write_series = ture\n\n[train]"))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "write_series" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--workers", "--sample-size"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_rejected(self, tmp_path, capsys, flag, value):
+        manifest = write_panel(tmp_path, n_assets=1)
+        cfg = write_config(tmp_path, manifest, tmp_path / "out")
+        assert main(["run", "--config", str(cfg), flag, value]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[experiment]\nbogus = 1\n")

@@ -19,7 +19,7 @@ from qvar.harness import (
     run_single,
 )
 from qvar.qcnn import TrainConfig
-from qvar.synthlab import GARCH11, SimSpec, simulate, write_price_csv
+from qvar.synthlab import GARCH11, IID_NORMAL, SimSpec, simulate, write_price_csv
 
 
 def fast_cfg(tmp_path, **overrides):
@@ -112,12 +112,12 @@ class TestRunSingle:
         init = float(np.var(series.train - garch.mu))
         full = garch_var_path(garch, series.returns, split, 0.05, init)
         trunc = garch_var_path(garch, series.returns[:cut], split, 0.05, init)
-        assert np.array_equal(full[: cut - split], trunc)
+        assert np.array_equal(full[: cut - split + 1], trunc)
 
         qr = fit_linear_qr(series.train, 0.05)
         full = linear_qr_var_path(qr, series.returns, split)
         trunc = linear_qr_var_path(qr, series.returns[:cut], split)
-        assert np.array_equal(full[: cut - split], trunc)
+        assert np.array_equal(full[: cut - split + 1], trunc)
 
         scaler = fit_scaler(series)
         model = train(
@@ -128,7 +128,7 @@ class TestRunSingle:
         scaled = apply_scaler(series.returns, scaler)
         full = predict_var_series(model, scaled, scaler, split)
         trunc = predict_var_series(model, scaled[:cut], scaler, split)
-        assert np.array_equal(full[: cut - split], trunc)
+        assert np.array_equal(full[: cut - split + 1], trunc)
 
 
 class TestJoint:
@@ -336,6 +336,24 @@ class TestRunExperiment:
         assert [(s["asset"], s["stage"], s["error"]) for s in payload["skipped"]] == [
             ("flat", "joint_qcnn@0.05", "DegenerateDataError")
         ]
+
+    def test_iid_panel_gets_garch_row_per_asset(self, tmp_path):
+        # GARCH fits on iid returns drive alpha to 0; that used to overflow
+        # the fit's logistic and abort the whole run
+        names = []
+        for seed in (0, 1):
+            series, _ = simulate(
+                SimSpec(process=IID_NORMAL, length=700, seed=seed), asset_id=f"iid{seed}"
+            )
+            write_price_csv(series, tmp_path / f"iid{seed}.csv")
+            names.append(f"iid{seed}.csv")
+        manifest = tmp_path / "assets.txt"
+        manifest.write_text("\n".join(names) + "\n")
+        cfg = fast_cfg(tmp_path, manifest=manifest, methods=("constant", "garch"))
+        run_experiment(cfg)
+        rows = (cfg.output_dir / "results_garch_theta0.05.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["iid0", "iid1"]
+        assert json.loads((cfg.output_dir / "run_manifest.json").read_text())["skipped"] == []
 
     def test_empty_manifest_is_error(self, tmp_path):
         manifest = tmp_path / "assets.txt"

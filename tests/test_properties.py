@@ -1,0 +1,131 @@
+"""Property tests: every forecaster keeps the path contract under random
+truncation, and the fitters turn hostile inputs into qvar errors only."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qvar.baselines import (
+    QR_LAGS,
+    GarchParams,
+    QrCoefficients,
+    fit_garch,
+    fit_linear_qr,
+    garch_var,
+    garch_var_path,
+    linear_qr_var,
+    linear_qr_var_path,
+)
+from qvar.data import ReturnSeries, Scaler, fit_scaler, make_windows
+from qvar.errors import QvarError
+from qvar.qcnn import build_model, predict_var, predict_var_series
+
+THETAS = (0.05, 0.01, 0.001)
+
+
+@st.composite
+def truncated_histories(draw):
+    """A seeded history h, a first forecast day `start` and a cut in [start, len(h)]."""
+    n = draw(st.integers(QR_LAGS, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-4, 0.01, 1.0)))
+    history = scale * rng.standard_normal(n)
+    start = draw(st.integers(QR_LAGS, n))
+    cut = draw(st.integers(start, n))
+    return history, start, cut
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=truncated_histories(),
+    theta=st.sampled_from(THETAS),
+    alpha=st.floats(0.0, 0.3),
+    beta=st.floats(0.0, 0.69),
+    init_var=st.one_of(st.none(), st.floats(1e-8, 4.0)),
+)
+def test_garch_path_contract(case, theta, alpha, beta, init_var):
+    h, start, cut = case
+    p = GarchParams(omega=1e-3, alpha=alpha, beta=beta, mu=float(np.mean(h)))
+    path = garch_var_path(p, h, start, theta, init_var)
+    assert path.shape == (h.size - start + 1,)
+    assert np.array_equal(garch_var_path(p, h[:cut], start, theta, init_var), path[: cut - start + 1])
+    assert garch_var(p, h[:cut], theta, init_var) == path[cut - start]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=truncated_histories(),
+    intercept=st.floats(-1.0, 1.0),
+    weights=st.lists(st.floats(-1.0, 1.0), min_size=QR_LAGS, max_size=QR_LAGS),
+)
+def test_linear_qr_path_contract(case, intercept, weights):
+    h, start, cut = case
+    c = QrCoefficients(intercept=intercept, lag_weights=np.array(weights), theta=0.05)
+    path = linear_qr_var_path(c, h, start)
+    assert path.shape == (h.size - start + 1,)
+    assert np.array_equal(linear_qr_var_path(c, h[:cut], start), path[: cut - start + 1])
+    assert linear_qr_var(c, h[cut - QR_LAGS : cut][::-1]) == path[cut - start]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=truncated_histories(),
+    theta=st.sampled_from(THETAS),
+    model_seed=st.integers(0, 1000),
+    mean=st.floats(-0.01, 0.01),
+    std=st.floats(1e-4, 0.1),
+)
+def test_qcnn_path_contract(case, theta, model_seed, mean, std):
+    h, start, cut = case
+    model = build_model(theta, seed=model_seed)
+    scaler = Scaler(mean=mean, std=std)
+    path = predict_var_series(model, h, scaler, start)
+    assert path.shape == (h.size - start + 1,)
+    assert np.array_equal(predict_var_series(model, h[:cut], scaler, start), path[: cut - start + 1])
+    assert predict_var(model, h[:cut], scaler, window=cut) == path[cut - start]
+
+
+@st.composite
+def hostile_returns(draw):
+    """Return series shaped like the inputs that break fitters: regime shifts,
+    flat stretches, spikes and series at or below the minimum lengths."""
+    kind = draw(st.sampled_from(("iid", "regime_shift", "flat_stretch", "spike", "short")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-4, 0.01, 1.0)))
+    n = draw(st.integers(0, 120)) if kind == "short" else draw(st.integers(100, 500))
+    r = scale * rng.standard_normal(n)
+    if kind == "regime_shift":
+        at = draw(st.integers(0, n))
+        r[at:] *= draw(st.sampled_from((0.01, 0.1, 10.0, 100.0)))
+    elif kind == "flat_stretch":
+        lo = draw(st.integers(0, n))
+        r[lo : draw(st.integers(lo, n))] = 0.0
+    elif kind == "spike":
+        at = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        r[at] = draw(st.sampled_from((-1.0, 1.0))) * draw(st.sampled_from((20.0, 1e3))) * scale
+    return r
+
+
+@settings(max_examples=30, deadline=None)
+@given(returns=hostile_returns(), theta=st.sampled_from(THETAS))
+# iid normal draws on which the alpha-share logistic used to overflow
+@example(returns=np.random.default_rng(4).standard_normal(500), theta=0.05)
+def test_fitters_raise_only_qvar_errors(returns, theta):
+    try:
+        params = fit_garch(returns)
+        assert all(math.isfinite(v) for v in (params.omega, params.alpha, params.beta))
+    except QvarError:
+        pass
+    try:
+        coeffs = fit_linear_qr(returns, theta)
+        assert np.all(np.isfinite(coeffs.lag_weights)) and math.isfinite(coeffs.intercept)
+    except QvarError:
+        pass
+    if returns.size >= 2:
+        series = ReturnSeries(asset_id="x", returns=returns, split_index=int(0.7 * returns.size))
+        try:
+            make_windows(series, fit_scaler(series), window=32)
+        except QvarError:
+            pass

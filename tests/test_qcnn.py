@@ -25,7 +25,6 @@ from qvar.qcnn import (
     pinball_loss,
     predict_var,
     predict_var_series,
-    quantile_path,
     save_model,
     train,
 )
@@ -428,9 +427,11 @@ class TestPredict:
         scaler = Scaler(mean=0.001, std=0.015)
         start = 300
         path = predict_var_series(model, scaled, scaler, start)
-        assert path.shape == (100,)
-        for day in (300, 333, 399):
-            windowed = predict_var(model, scaled[day - 128 : day], scaler)
+        assert path.shape == (101,)
+        for day in (300, 333, 399, 400):
+            # oracle: the last forward output over the 128 days before `day`, unscaled
+            q = forward(model, scaled[day - 128 : day])[0, -1]
+            windowed = -(q * scaler.std + scaler.mean)
             assert path[day - start] == pytest.approx(windowed, abs=1e-12)
 
     def test_series_no_lookahead(self):
@@ -440,7 +441,7 @@ class TestPredict:
         scaler = Scaler(mean=0.0, std=1.0)
         full = predict_var_series(model, scaled, scaler, 300)
         truncated = predict_var_series(model, scaled[:350], scaler, 300)
-        assert np.array_equal(full[:50], truncated)
+        assert np.array_equal(full[:51], truncated)
 
 
 class TestCheckpoint:
@@ -472,12 +473,6 @@ class TestCheckpoint:
         bad.write_text('{"format": "something-else"}')
         with pytest.raises(DomainError):
             load_model(bad)
-
-
-def test_quantile_path_is_forward_trace():
-    model = build_model(0.05, seed=40)
-    x = np.random.default_rng(41).standard_normal(200)
-    assert np.array_equal(quantile_path(model, x), forward(model, x)[0])
 
 
 def test_train_config_validation():

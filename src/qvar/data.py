@@ -58,7 +58,6 @@ class ReturnSeries:
     asset_id: str
     returns: np.ndarray
     split_index: int
-    dates: tuple[dt.date, ...] | None = None
 
     def __post_init__(self):
         returns = np.asarray(self.returns, dtype=float)
@@ -69,8 +68,6 @@ class ReturnSeries:
             raise DomainError(
                 f"{self.asset_id}: split_index {self.split_index} outside [0, {len(returns)})"
             )
-        if self.dates is not None and len(self.dates) != len(returns):
-            raise DomainError(f"{self.asset_id}: dates/returns length mismatch")
 
     def __len__(self) -> int:
         return len(self.returns)
@@ -175,7 +172,8 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
         if d in seen:
             raise ParseError(f"{path}: duplicate date {d}")
         seen.add(d)
-    order = np.argsort(np.array(dates, dtype="datetime64[D]"), kind="stable")
+    ordinals = np.fromiter((d.toordinal() for d in dates), dtype=np.int64, count=len(dates))
+    order = np.argsort(ordinals, kind="stable")
     return PriceSeries(
         asset_id=asset_id,
         dates=tuple(dates[i] for i in order),
@@ -204,12 +202,7 @@ def log_returns(prices: PriceSeries) -> ReturnSeries:
         raise InsufficientDataError(f"{prices.asset_id}: need at least 2 prices")
     returns = np.diff(np.log(prices.closes))
     split = int(math.floor(TRAIN_FRACTION * len(returns)))
-    return ReturnSeries(
-        asset_id=prices.asset_id,
-        returns=returns,
-        split_index=split,
-        dates=tuple(prices.dates[1:]),
-    )
+    return ReturnSeries(asset_id=prices.asset_id, returns=returns, split_index=split)
 
 
 def prices_from_returns(

@@ -80,7 +80,7 @@ class ExperimentConfig:
         for t in self.thetas:
             if not 0.0 < t < 1.0:
                 raise DomainError(f"theta {t} must lie strictly inside (0, 1)")
-        for name in ("sample_size", "workers"):
+        for name in ("window", "stride", "sample_size", "workers"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise DomainError(f"{name} must be >= 1, got {value}")
@@ -163,19 +163,33 @@ def _train_config_for(cfg: ExperimentConfig, *parts) -> TrainConfig:
     return dataclasses.replace(cfg.train, seed=derive_seed(cfg.seed, *parts))
 
 
-def run_single(
+def _fit_level_free(series: ReturnSeries, method: str, cfg: ExperimentConfig):
+    """The part of a method's fit that no quantile level changes.
+
+    GARCH parameters with the recursion's starting variance, or a QCNN's
+    scaler (and, for qcnn, its training windows); None for the methods that
+    fit per level.
+    """
+    train_returns = series.train
+    if method == METHOD_GARCH:
+        params = fit_garch(train_returns)
+        return params, float(np.var(train_returns - params.mu))
+    if method in (METHOD_QCNN, METHOD_JOINT_QCNN):
+        scaler = fit_scaler(series)
+        if method == METHOD_JOINT_QCNN:
+            return scaler, None
+        return scaler, make_windows(series, scaler, window=cfg.window, stride=cfg.stride)
+    return None
+
+
+def _forecast(
     series: ReturnSeries,
     theta: float,
     method: str,
     cfg: ExperimentConfig,
+    fitted,
     model: QcnnModel | None = None,
 ) -> tuple[VarForecast, BacktestResult]:
-    """Fit one method on the training segment and forecast every test day.
-
-    Each forecast uses only information available before its day; the
-    constant method emits the same value daily. For joint_qcnn a trained
-    model must be supplied.
-    """
     # the path functions forecast days split..len(history); the last test
     # return is never a forecast input
     history = series.returns[:-1]
@@ -185,16 +199,14 @@ def run_single(
     if method == METHOD_CONSTANT:
         values = np.full(len(series) - split, constant_var(train_returns, theta))
     elif method == METHOD_GARCH:
-        params = fit_garch(train_returns)
-        init_var = float(np.var(train_returns - params.mu))
+        params, init_var = fitted
         values = garch_var_path(params, history, split, theta, init_var)
     elif method == METHOD_LINEAR_QR:
         coeffs = fit_linear_qr(train_returns, theta)
         values = linear_qr_var_path(coeffs, history, split)
     elif method in (METHOD_QCNN, METHOD_JOINT_QCNN):
-        scaler = fit_scaler(series)
+        scaler, windows = fitted
         if method == METHOD_QCNN:
-            windows = make_windows(series, scaler, window=cfg.window, stride=cfg.stride)
             model = train(
                 windows, theta, _train_config_for(cfg, "qcnn", series.asset_id, theta)
             )
@@ -213,6 +225,22 @@ def run_single(
     )
     result = score_forecast(series.test, forecast.values, theta)
     return forecast, result
+
+
+def run_single(
+    series: ReturnSeries,
+    theta: float,
+    method: str,
+    cfg: ExperimentConfig,
+    model: QcnnModel | None = None,
+) -> tuple[VarForecast, BacktestResult]:
+    """Fit one method on the training segment and forecast every test day.
+
+    Each forecast uses only information available before its day; the
+    constant method emits the same value daily. For joint_qcnn a trained
+    model must be supplied.
+    """
+    return _forecast(series, theta, method, cfg, _fit_level_free(series, method, cfg), model)
 
 
 def run_joint_qcnn(
@@ -291,13 +319,31 @@ def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
 
 
 def _run_task(args):
-    series, theta, method, cfg = args
-    try:
-        forecast, result = run_single(series, theta, method, cfg)
-        return series.asset_id, theta, method, "ok", (forecast, result)
-    except QvarError as exc:
+    """One (asset, method) at every level of cfg.thetas, in that order.
+
+    The level-free fit runs once; if it fails, every level records its
+    error. Otherwise each level is forecast and scored on its own, so a
+    failing level records only its own skip.
+    """
+    series, method, cfg = args
+
+    def skipped(theta, exc):
         stage = f"{method}@{_theta_tag(theta)}"
         return series.asset_id, theta, method, "skip", _skip(series.asset_id, stage, exc)
+
+    try:
+        fitted = _fit_level_free(series, method, cfg)
+    except QvarError as exc:
+        return [skipped(theta, exc) for theta in cfg.thetas]
+    outcomes = []
+    for theta in cfg.thetas:
+        try:
+            pair = _forecast(series, theta, method, cfg, fitted)
+        except QvarError as exc:
+            outcomes.append(skipped(theta, exc))
+        else:
+            outcomes.append((series.asset_id, theta, method, "ok", pair))
+    return outcomes
 
 
 def _theta_tag(theta: float) -> str:
@@ -376,9 +422,13 @@ def write_run_manifest(cfg: ExperimentConfig, assets: list[str], skips: list[dic
 def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     """Run every (asset, method, theta), write the report files, return summaries.
 
-    Per-asset tasks are independent and run on a process pool when workers
-    allow; the joint model trains once per theta in the main process. Output
-    is deterministic for a fixed config and seed regardless of worker count.
+    A task is one (asset, method) over every quantile level: it fits the
+    level-free state once (GARCH parameters, a QCNN's scaler and windows)
+    and each level's own model after it. Tasks are independent and run on a
+    process pool when workers allow; per-task seeds still come from the
+    (asset, method, level) identity. The joint model trains once per theta
+    in the main process. Output is deterministic for a fixed config and seed
+    regardless of worker count.
     """
     output_dir = Path(cfg.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -387,19 +437,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         raise InsufficientDataError(f"no usable assets in manifest {cfg.manifest}")
 
     single_methods = [m for m in cfg.methods if m != METHOD_JOINT_QCNN]
-    tasks = [
-        (series, theta, method, cfg)
-        for theta in cfg.thetas
-        for method in single_methods
-        for series in series_list
-    ]
+    tasks = [(series, method, cfg) for method in single_methods for series in series_list]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     workers = min(workers, max(1, len(tasks)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_task, tasks, chunksize=1))
+            per_task = list(pool.map(_run_task, tasks, chunksize=1))
     else:
-        outcomes = [_run_task(t) for t in tasks]
+        per_task = [_run_task(t) for t in tasks]
+    # tasks run in (method, asset) order and return their levels in theta
+    # order; read them back in (theta, method, asset) order, the order in
+    # which skips are recorded
+    outcomes = [outcome for level in zip(*per_task) for outcome in level]
 
     by_key: dict[tuple[str, float, str], tuple[VarForecast, BacktestResult]] = {}
     for asset_id, theta, method, status, payload in outcomes:

@@ -148,7 +148,7 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "write_series" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--workers", "--sample-size"])
+    @pytest.mark.parametrize("flag", ["--workers", "--sample-size", "--window", "--stride"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_count_below_one_rejected(self, tmp_path, capsys, flag, value):
         manifest = write_panel(tmp_path, n_assets=1)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qvar.errors import (
     InsufficientDataError,
     ParseError,
 )
+from qvar.synthlab import IID_NORMAL, SimSpec, simulate, write_price_csv
 
 
 def write_csv(path, rows, header="date,close"):
@@ -139,6 +141,14 @@ class TestLogReturns:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             PriceSeries(asset_id="x", dates=(), closes=np.array([]))
+
+    def test_pickles_to_its_returns(self, tmp_path):
+        # a run ships each return series to its pool workers
+        simulated, _ = simulate(SimSpec(process=IID_NORMAL, length=2000, seed=3))
+        write_price_csv(simulated, tmp_path / "a.csv")
+        series = log_returns(load_prices(tmp_path / "a.csv"))
+        assert len(series) == 2000
+        assert len(pickle.dumps(series)) <= series.returns.nbytes + 1024
 
 
 class TestScaler:

@@ -266,12 +266,9 @@ class TestRunExperiment:
     def test_worker_pool_matches_serial(self, tmp_path):
         manifest = write_panel(tmp_path)
         methods = ("constant", "garch", "linear_qr", "qcnn")
-        serial = fast_cfg(
-            tmp_path, manifest=manifest, output_dir=tmp_path / "o1", methods=methods, workers=1
-        )
-        pooled = fast_cfg(
-            tmp_path, manifest=manifest, output_dir=tmp_path / "o2", methods=methods, workers=3
-        )
+        common = dict(manifest=manifest, methods=methods, thetas=(0.05, 0.01))
+        serial = fast_cfg(tmp_path, output_dir=tmp_path / "o1", workers=1, **common)
+        pooled = fast_cfg(tmp_path, output_dir=tmp_path / "o2", workers=3, **common)
         run_experiment(serial)
         run_experiment(pooled)
         for p in sorted(serial.output_dir.iterdir()):
@@ -281,19 +278,30 @@ class TestRunExperiment:
 
     def test_method_failures_recorded_not_fatal(self, tmp_path):
         # 60 training returns: linear_qr fits, garch (needs 100) is skipped
-        series, _ = simulate(SimSpec(process=GARCH11, length=90, seed=7, garch=GARCH))
-        write_price_csv(series, tmp_path / "tiny.csv")
+        for seed in (7, 8):
+            series, _ = simulate(SimSpec(process=GARCH11, length=90, seed=seed, garch=GARCH))
+            write_price_csv(series, tmp_path / f"tiny{seed}.csv")
         manifest = tmp_path / "assets.txt"
-        manifest.write_text("tiny.csv\n")
+        manifest.write_text("tiny7.csv\ntiny8.csv\n")
         cfg = fast_cfg(
-            tmp_path, manifest=manifest, methods=("constant", "garch"), window=16
+            tmp_path,
+            manifest=manifest,
+            methods=("constant", "garch"),
+            thetas=(0.05, 0.01),
+            window=16,
         )
         run_experiment(cfg)
-        rows = (cfg.output_dir / "results_garch_theta0.05.csv").read_text().splitlines()
-        assert len(rows) == 1  # header only
+        for theta in cfg.thetas:
+            rows = (cfg.output_dir / f"results_garch_theta{theta:g}.csv").read_text().splitlines()
+            assert len(rows) == 1  # header only
         payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
-        stages = [s["stage"] for s in payload["skipped"]]
-        assert "garch@0.05" in stages
+        # skips are recorded level by level, whatever order the tasks ran in
+        assert [(s["asset"], s["stage"]) for s in payload["skipped"]] == [
+            ("tiny7", "garch@0.05"),
+            ("tiny8", "garch@0.05"),
+            ("tiny7", "garch@0.01"),
+            ("tiny8", "garch@0.01"),
+        ]
 
     def test_any_qvar_error_is_a_recorded_skip(self, tmp_path, monkeypatch):
         manifest = write_panel(tmp_path)
@@ -322,6 +330,25 @@ class TestRunExperiment:
                 "reason": "persistence rounded to 1",
             }
         ]
+
+    def test_garch_fits_once_per_asset(self, tmp_path, monkeypatch):
+        manifest = write_panel(tmp_path)
+        real_fit = qvar.harness.fit_garch
+        fitted = []
+
+        def counting_fit(train_returns):
+            fitted.append(train_returns.size)
+            return real_fit(train_returns)
+
+        monkeypatch.setattr(qvar.harness, "fit_garch", counting_fit)
+        cfg = fast_cfg(
+            tmp_path, manifest=manifest, methods=("garch",), thetas=(0.05, 0.01, 0.001)
+        )
+        run_experiment(cfg)
+        assert len(fitted) == 3  # one fit per asset, shared by the three levels
+        for theta in cfg.thetas:
+            rows = (cfg.output_dir / f"results_garch_theta{theta:g}.csv").read_text().splitlines()
+            assert len(rows) == 4
 
     def test_flat_asset_leaves_joint_model_to_the_rest(self, tmp_path):
         manifest = write_panel(tmp_path, n_assets=2)

@@ -1,6 +1,8 @@
 """Property tests: every forecaster keeps the path contract under random
-truncation, and the fitters turn hostile inputs into qvar errors only."""
+truncation, the fitters turn hostile inputs into qvar errors only, and price
+files load back bit-exact in date order."""
 
+import datetime as dt
 import math
 
 import numpy as np
@@ -18,7 +20,7 @@ from qvar.baselines import (
     linear_qr_var,
     linear_qr_var_path,
 )
-from qvar.data import ReturnSeries, Scaler, fit_scaler, make_windows
+from qvar.data import ReturnSeries, Scaler, fit_scaler, load_prices, make_windows
 from qvar.errors import QvarError
 from qvar.qcnn import build_model, predict_var, predict_var_series
 
@@ -129,3 +131,45 @@ def test_fitters_raise_only_qvar_errors(returns, theta):
             make_windows(series, fit_scaler(series), window=32)
         except QvarError:
             pass
+
+
+@st.composite
+def dated_closes(draw):
+    """Positive closes on distinct dates, with a row order to write them in."""
+    n = draw(st.integers(2, 60))
+    ordinals = draw(
+        st.lists(
+            st.integers(dt.date(1900, 1, 1).toordinal(), dt.date(2100, 12, 31).toordinal()),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    closes = draw(
+        st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return [dt.date.fromordinal(o) for o in ordinals], closes, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=dated_closes())
+def test_price_csv_round_trip(tmp_path_factory, case):
+    dates, closes, row_order = case
+    directory = tmp_path_factory.mktemp("prices")
+
+    def load_rows(name, order):
+        rows = [f"{dates[i].isoformat()},{closes[i]!r}" for i in order]
+        (directory / name).write_text("date,close\n" + "\n".join(rows) + "\n")
+        return load_prices(directory / name)
+
+    by_date = sorted(range(len(dates)), key=lambda i: dates[i])
+    shuffled = load_rows("shuffled.csv", row_order)
+    in_order = load_rows("sorted.csv", by_date)
+    assert shuffled.dates == tuple(dates[i] for i in by_date)
+    assert shuffled.closes.tobytes() == np.array([closes[i] for i in by_date]).tobytes()
+    assert shuffled.dates == in_order.dates
+    assert shuffled.closes.tobytes() == in_order.closes.tobytes()

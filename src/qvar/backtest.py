@@ -139,10 +139,13 @@ def score_forecast(
     """Exceedance rate, mean VaR and the DQ test for one forecast series.
 
     A series with zero exceedances is assigned p_value = 0 regardless of the
-    DQ statistic, so it always counts as a rejection.
+    DQ statistic, so it always counts as a rejection. A non-finite VaR, as a
+    diverged model forecasts, raises DomainError instead of being scored.
     """
-    hit = hits(returns, var, theta)
     var = np.asarray(var, dtype=float)
+    if not np.all(np.isfinite(var)):
+        raise DomainError("VaR forecasts must be finite")
+    hit = hits(returns, var, theta)
     n_exc = int(np.sum(hit.values == 1.0 - theta))
     dq = dq_test(hit, var, hit_lags)
     p_value = 0.0 if n_exc == 0 else dq.p_value

@@ -18,7 +18,7 @@ import numpy as np
 from .backtest import DEFAULT_HIT_LAGS, score_forecast
 from .baselines import GarchParams
 from .data import DEFAULT_WINDOW, load_prices, log_returns
-from .errors import FitError, QvarError
+from .errors import FitError, ParseError, QvarError
 from .harness import (
     ALL_METHODS,
     DEFAULT_THETAS,
@@ -264,7 +264,12 @@ def _read_var_csv(path: Path) -> np.ndarray:
         if reader.fieldnames is None or "var" not in [f.strip().lower() for f in reader.fieldnames]:
             raise QvarError(f"{path}: expected a CSV with a 'var' column")
         key = next(f for f in reader.fieldnames if f.strip().lower() == "var")
-        values = [float(row[key]) for row in reader]
+        values = []
+        for row in reader:
+            try:
+                values.append(float(row[key]))
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: invalid var {row[key]!r}", reader.line_num) from None
     if not values:
         raise QvarError(f"{path}: no VaR rows")
     return np.array(values)
@@ -305,11 +310,16 @@ def _cmd_report(args) -> int:
     for path in sorted(results_dir.glob("results_*_theta*.csv")):
         stem = path.stem[len("results_") :]
         method, _, tag = stem.rpartition("_theta")
+        rows = []
         with open(path, newline="") as fh:
-            rows = [
-                _ResultRow(float(r["exceedance_rate"]), float(r["p_value"]), float(r["mean_var"]))
-                for r in csv.DictReader(fh)
-            ]
+            reader = csv.DictReader(fh)
+            for r in reader:
+                try:
+                    rows.append(_ResultRow(*(float(r[col]) for col in _ResultRow._fields)))
+                except (KeyError, TypeError, ValueError):
+                    raise ParseError(
+                        f"{path}: expected numeric {', '.join(_ResultRow._fields)}", reader.line_num
+                    ) from None
         groups.setdefault(tag, {})[method] = rows
     if not groups:
         raise QvarError(f"no results_*_theta*.csv files in {results_dir}")

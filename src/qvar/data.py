@@ -139,7 +139,8 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
 
     dates: list[dt.date] = []
     closes: list[float] = []
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheets write before the header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

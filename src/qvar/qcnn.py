@@ -207,39 +207,37 @@ SUB_BATCH_COLUMNS = 2048
 
 
 class _Workspace:
-    """Preallocated buffers for sub-batches of up to `batch` sequences of length `time`.
+    """Preallocated buffers for sub-batches of up to `cols` sequence positions.
 
-    A sub-batch holds max(1, SUB_BATCH_COLUMNS // time) sequences, fewer when
-    `batch` is smaller; the buffers are reused across training steps.
+    A sub-batch of sequences of length T <= cols holds cols // T of them;
+    the buffers are reused across training steps and sequence lengths.
 
-    Layer i reads xin[i], shape (k*cin + 1, batch*time): its k taps, oldest
-    first and the current one last, then a constant row of ones that adds the
-    bias through the matmul with wfull[i] = [weights by tap | biases]. Each
-    layer writes its output straight into out[i], the next layer's current-tap
-    rows (the head writes into q), so a rectifier layer's activations are the
-    next layer's current tap. The first `lag` positions of each sequence in a
-    lagged tap are zero and are never written.
+    lay_out(model, m, T) views them for a sub-batch of m sequences of length
+    T, contiguously: numpy's elementwise loops run about three times slower
+    on a column slice of a wider buffer. Layer i then reads xin[i], shape
+    (k*cin + 1, m*T): its k taps, oldest first and the current one last, then
+    a constant row of ones that adds the bias through the matmul with
+    wfull[i] = [weights by tap | biases]. Each layer writes its output
+    straight into out[i], the next layer's current-tap rows (the head writes
+    into q), so a rectifier layer's activations are the next layer's
+    current tap. The first `lag` positions of each sequence in a lagged tap
+    are zeroed by lay_out and never written.
     """
 
-    def __init__(self, model: QcnnModel, batch: int, time: int):
-        self.batch = min(batch, max(1, SUB_BATCH_COLUMNS // time))
-        cols = self.batch * time
-        self.xin: list[np.ndarray] = []
+    def __init__(self, model: QcnnModel, cols: int):
+        self.cols = cols
+        self.shape = None
+        self.flat: list[np.ndarray] = []
         self.wfull: list[np.ndarray] = []
         self.grad: list[np.ndarray] = []
         self.dx: list[np.ndarray] = []
-        self.cur: list[np.ndarray] = []
         for layer in model.layers:
             k, cin, cout = layer.kernel_size, layer.in_channels, layer.out_channels
-            xin = np.zeros((k * cin + 1, cols))
-            xin[-1] = 1.0
-            self.xin.append(xin)
-            self.cur.append(xin[(k - 1) * cin : k * cin])
+            self.flat.append(np.empty((k * cin + 1) * cols))
             self.wfull.append(np.empty((cout, k * cin + 1)))
             self.grad.append(np.empty((cout, k * cin + 1)))
             self.dx.append(np.empty(k * cin * cols))
-        self.q = np.empty((1, cols))
-        self.out = [*self.cur[1:], self.q]
+        self.q = np.empty(cols)
 
     def pack(self, model: QcnnModel) -> None:
         """Copy the model's current parameters into wfull."""
@@ -248,11 +246,30 @@ class _Workspace:
             w[:, :-1] = layer.weights.transpose(0, 2, 1).reshape(cout, k * cin)
             w[:, -1] = layer.biases
 
+    def lay_out(self, model: QcnnModel, m: int, T: int) -> None:
+        """View the buffers for m sequences of length T (a no-op if they already are)."""
+        if self.shape == (m, T):
+            return
+        cols = m * T
+        self.xin: list[np.ndarray] = []
+        self.cur: list[np.ndarray] = []
+        for layer, flat in zip(model.layers, self.flat):
+            k, cin = layer.kernel_size, layer.in_channels
+            xin = flat[: (k * cin + 1) * cols].reshape(k * cin + 1, cols)
+            xin[-1] = 1.0
+            taps = xin[:-1].reshape(k, cin, m, T)
+            for j in range(k - 1):
+                taps[j, :, :, : (k - 1 - j) * layer.dilation] = 0.0
+            self.xin.append(xin)
+            self.cur.append(xin[(k - 1) * cin : k * cin])
+        self.out = [*self.cur[1:], self.q[:cols].reshape(1, cols)]
+        self.shape = (m, T)
+
 
 def _forward_batch(
     model: QcnnModel, X: np.ndarray, ws: _Workspace, stable: bool = False
 ) -> np.ndarray:
-    """Forward up to ws.batch single-channel sequences X (m, T); returns (m, T).
+    """Forward up to ws.cols // T single-channel sequences X (m, T); returns (m, T).
 
     Reads the parameters packed by ws.pack. With stable=True the channel
     reduction runs through einsum, whose per-column summation order does
@@ -262,25 +279,25 @@ def _forward_batch(
     final columns when lengths differ.
     """
     m, T = X.shape
-    cols = m * T
-    ws.cur[0][:, :cols] = X.reshape(1, cols)
+    ws.lay_out(model, m, T)
+    ws.cur[0][:] = X.reshape(1, m * T)
     for i, layer in enumerate(model.layers):
         k, cin = layer.kernel_size, layer.in_channels
-        xin = ws.xin[i][:, :cols]
+        xin = ws.xin[i]
         taps = xin.reshape(-1, m, T)
         cur = taps[(k - 1) * cin : k * cin]
         for j in range(k - 1):
             lag = (k - 1 - j) * layer.dilation
             if lag < T:
                 taps[j * cin : (j + 1) * cin, :, lag:] = cur[:, :, :-lag]
-        out = ws.out[i][:, :cols]
+        out = ws.out[i]
         if stable:
             np.einsum("oc,cn->on", ws.wfull[i], xin, out=out)
         else:
             np.matmul(ws.wfull[i], xin, out=out)
         if layer.activation == RECTIFIER:
             np.maximum(out, 0.0, out=out)
-    return ws.q[0, :cols].reshape(m, T)
+    return ws.out[-1].reshape(m, T)
 
 
 def pinball_loss(y, q, theta: float) -> float:
@@ -295,58 +312,157 @@ def pinball_loss(y, q, theta: float) -> float:
     return float(np.mean(np.where(diff >= 0, theta * diff, (theta - 1.0) * diff)))
 
 
-def _loss_and_grads(model, X, Y, ws) -> tuple[float, list[np.ndarray]]:
-    """Mean pinball loss over a batch and its exact parameter gradients.
+def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
+    """Weighted pinball loss over blocks of sequences, divided by n, and its exact gradients.
 
-    The batch runs forward and backward in consecutive sub-batches of
-    ws.batch sequences. The pinball gradient is divided by the element count
-    of the whole batch, so the sub-batch gradients, summed in order, are the
-    batch-mean gradients.
+    Each block is (X, Y, W): inputs and targets of shape (m, T) and
+    per-position weights broadcastable to them. The loss is
+    sum(W * pinball(Y - q)) / n over every block; W = 1 with n = X.size is
+    the batch mean. Blocks run forward and backward in consecutive
+    sub-batches of ws.cols // T sequences, and the sub-batch gradients are
+    summed in order.
     """
     theta = model.theta
     layers = model.layers
     ws.pack(model)
-    n = X.size
     loss = 0.0
-    for lo in range(0, len(X), ws.batch):
-        q = _forward_batch(model, X[lo : lo + ws.batch], ws)
-        m, T = q.shape
-        cols = m * T
-        diff = Y[lo : lo + ws.batch] - q
-        loss += float(np.sum(np.where(diff >= 0, theta * diff, (theta - 1.0) * diff)))
-        # left-branch subgradient at the kink: diff == 0 takes the theta branch
-        dact = (np.where(diff >= 0, -theta, 1.0 - theta) / n).reshape(1, cols)
-        for i in range(len(layers) - 1, -1, -1):
-            layer = layers[i]
-            k, cin = layer.kernel_size, layer.in_channels
-            if layer.activation == RECTIFIER:
-                np.multiply(dact, ws.out[i][:, :cols] > 0, out=dact)
-            xin = ws.xin[i][:, :cols]
-            if lo == 0:
-                np.matmul(dact, xin.T, out=ws.grad[i])
-            else:
-                ws.grad[i] += dact @ xin.T
-            if i == 0:
-                break
-            # one flat row per tap, so that the fold below adds contiguous runs
-            dx = ws.dx[i][: k * cin * cols].reshape(k, cin * cols)
-            np.matmul(ws.wfull[i][:, :-1].T, dact, out=dx.reshape(k * cin, cols))
-            # fold the lagged taps back onto the previous layer's activations:
-            # zero each tap's gradient at its padded positions, then a single
-            # shifted add carries the rest and adds only zeros across sequences
-            dprev = dx[k - 1]
-            for j in range(k - 1):
-                lag = (k - 1 - j) * layer.dilation
-                if lag < T:
-                    dx[j].reshape(cin * m, T)[:, :lag] = 0.0
-                    dprev[:-lag] += dx[j, lag:]
-            dact = dprev.reshape(cin, cols)
+    first = True
+    for X, Y, W in blocks:
+        T = X.shape[1]
+        W = np.broadcast_to(W, X.shape)
+        step = ws.cols // T
+        for lo in range(0, len(X), step):
+            q = _forward_batch(model, X[lo : lo + step], ws)
+            m = q.shape[0]
+            cols = m * T
+            diff = Y[lo : lo + step] - q
+            w = W[lo : lo + step]
+            loss += float(np.sum(w * np.where(diff >= 0, theta * diff, (theta - 1.0) * diff)))
+            # left-branch subgradient at the kink: diff == 0 takes the theta branch
+            dact = (np.where(diff >= 0, -theta, 1.0 - theta) * w / n).reshape(1, cols)
+            for i in range(len(layers) - 1, -1, -1):
+                layer = layers[i]
+                k, cin = layer.kernel_size, layer.in_channels
+                if layer.activation == RECTIFIER:
+                    np.multiply(dact, ws.out[i] > 0, out=dact)
+                xin = ws.xin[i]
+                if first:
+                    np.matmul(dact, xin.T, out=ws.grad[i])
+                else:
+                    ws.grad[i] += dact @ xin.T
+                if i == 0:
+                    break
+                # one flat row per tap, so that the fold below adds contiguous runs
+                dx = ws.dx[i][: k * cin * cols].reshape(k, cin * cols)
+                np.matmul(ws.wfull[i][:, :-1].T, dact, out=dx.reshape(k * cin, cols))
+                # fold the lagged taps back onto the previous layer's activations:
+                # zero each tap's gradient at its padded positions, then a single
+                # shifted add carries the rest and adds only zeros across sequences
+                dprev = dx[k - 1]
+                for j in range(k - 1):
+                    lag = (k - 1 - j) * layer.dilation
+                    if lag < T:
+                        dx[j].reshape(cin * m, T)[:, :lag] = 0.0
+                        dprev[:-lag] += dx[j, lag:]
+                dact = dprev.reshape(cin, cols)
+            first = False
     grads: list[np.ndarray] = []
     for layer, g in zip(layers, ws.grad):
         cout, cin, k = layer.weights.shape
         grads.append(np.ascontiguousarray(g[:, :-1].reshape(cout, k, cin).transpose(0, 2, 1)))
         grads.append(g[:, -1].copy())
     return loss / n, grads
+
+
+def _rebuild_series(origins, inputs: np.ndarray, targets: np.ndarray):
+    """Each asset's scaled series, rebuilt from its windows, and where each window sits in it.
+
+    Returns (series, group, start): window w is inputs[w] = series[g][s : s+T]
+    with targets[w] one step later, for g = group[w] and s = start[w]. A
+    window that is not exactly such a slice (hand-built windows, two assets
+    sharing an id) gets group len(series), which has no series. Positions no
+    window covers stay zero.
+    """
+    n, T = inputs.shape
+    group = np.full(n, -1)
+    start = np.zeros(n, dtype=np.int64)
+    by_asset: dict[str, list[int]] = {}
+    for w, (asset, _) in enumerate(origins):
+        by_asset.setdefault(asset, []).append(w)
+    series: list[np.ndarray] = []
+    for members in by_asset.values():
+        members = np.array(members)
+        s = np.array([origins[w][1] for w in members], dtype=np.int64)
+        s -= s.min()
+        # a series longer than the windows laid end to end means they barely
+        # overlap, so a series pass would not pay (and hand-built origins
+        # could ask for any length)
+        if s.max() + T + 1 > len(members) * (T + 1):
+            continue
+        # one position of every window at a time, so no (k, T) temporaries
+        S = np.zeros(s.max() + T + 1)
+        for t in range(T):
+            S[s + t] = inputs[members, t]
+        S[s + T] = targets[members, -1]
+        # a series pass also runs over days outside the batch's windows, at
+        # zero weight; a non-finite value there would still reach the gradient
+        if not np.all(np.isfinite(S)):
+            continue
+        exact = np.ones(members.size, dtype=bool)
+        for t in range(T):
+            exact &= (S[s + t] == inputs[members, t]) & (S[s + t + 1] == targets[members, t])
+        group[members[exact]] = len(series)
+        start[members] = s
+        series.append(S)
+    group[group < 0] = len(series)
+    return series, group, start
+
+
+def _step_blocks(idx, inputs, targets, series, group, start, R, cols):
+    """The kernel blocks of one training step over the windows idx.
+
+    Per asset, the batch's windows either run whole (k*T columns) or are
+    split, whichever takes fewer columns: positions 0..R-2 of each window,
+    plus one causal pass over the part of the asset's series they cover
+    (its span plus R-1 leading columns), where position t of window s is day
+    s+t. From position R-1 on a window sees no padding, so there every
+    window's output is the series pass's output at that day, and the series
+    pass weights each day by the windows covering it there. Windows of at
+    most R-1 positions always run whole. Passes longer than `cols` are cut
+    into chunks overlapping by R-1 columns, the overlap weighted zero.
+    """
+    T = inputs.shape[1]
+    G = len(series)
+    g, s = group[idx], start[idx]
+    k = np.bincount(g, minlength=G + 1)
+    lo = np.full(G + 1, s.max())
+    np.minimum.at(lo, g, s)
+    hi = np.zeros(G + 1, dtype=np.int64)
+    np.maximum.at(hi, g, s + T)
+    split = (k > 0) & (k * (R - 1) + hi - lo < k * T)
+    split[G] = False
+    on = split[g]
+    blocks = []
+    whole = idx[~on]
+    if whole.size:
+        blocks.append((inputs[whole], targets[whole], 1.0))
+    if whole.size == idx.size:
+        return blocks
+    blocks.append((inputs[idx[on], : R - 1], targets[idx[on], : R - 1], 1.0))
+    for a in np.flatnonzero(split):
+        days, length = series[a][lo[a] :], hi[a] - lo[a]
+        first = s[g == a] - lo[a]
+        cover = np.bincount(first + R - 1, minlength=length + 1) - np.bincount(
+            first + T, minlength=length + 1
+        )
+        weight = np.cumsum(cover[:length]).astype(float)
+        # a chunk starts R-1 columns before the previous one ends
+        for begin in range(0, length - (R - 1), cols - (R - 1)):
+            end = min(begin + cols, length)
+            w = weight[None, begin:end].copy()
+            w[:, : R - 1] = 0.0
+            blocks.append((days[None, begin:end], days[None, begin + 1 : end + 1], w))
+    return blocks
 
 
 def _as_batch(x) -> np.ndarray:
@@ -370,7 +486,7 @@ def forward(model: QcnnModel, x):
     # a length-1 sequence with a trailing zero (causally invisible) and slice
     if T == 1:
         X = np.concatenate([X, np.zeros((1, 1))], axis=1)
-    ws = _Workspace(model, 1, X.shape[1])
+    ws = _Workspace(model, X.shape[1])
     ws.pack(model)
     return _forward_batch(model, X, ws, stable=True)[:, :T]
 
@@ -381,8 +497,7 @@ def backward(model: QcnnModel, x, y) -> list[np.ndarray]:
     Y = _as_batch(y)
     if X.shape != Y.shape:
         raise ShapeError(f"input {X.shape} and target {Y.shape} lengths differ")
-    ws = _Workspace(model, 1, X.shape[1])
-    _, grads = _loss_and_grads(model, X, Y, ws)
+    _, grads = _loss_and_grads(model, [(X, Y, 1.0)], X.size, _Workspace(model, X.shape[1]))
     return grads
 
 
@@ -446,11 +561,13 @@ def train(
 
     Initialization and epoch shuffling both draw from one seeded generator.
     Batches of cfg.batch_size are cut from a fresh permutation each epoch and
-    a final partial batch is used as-is.
+    a final partial batch is used as-is. Each step minimizes the batch-mean
+    pinball loss; where windows are slices of one asset's series, part of it
+    is computed by one pass over that series (see _step_blocks).
     """
     inputs = np.ascontiguousarray(windows.inputs, dtype=float)
     targets = np.ascontiguousarray(windows.targets, dtype=float)
-    n = len(inputs)
+    n, T = inputs.shape
     if n == 0:
         raise InsufficientDataError("cannot train on an empty window set")
     rng = np.random.default_rng(cfg.seed)
@@ -460,12 +577,16 @@ def train(
         raise DomainError(f"model targets theta={model.theta}, asked to train at {theta}")
     params = model_parameters(model)
     state = AdadeltaState.for_params(params, cfg.rho, cfg.epsilon)
-    ws = _Workspace(model, min(cfg.batch_size, n), inputs.shape[1])
+    ws = _Workspace(model, max(T, SUB_BATCH_COLUMNS))
+    series, group, start = _rebuild_series(windows.origins, inputs, targets)
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            _, grads = _loss_and_grads(model, inputs[idx], targets[idx], ws)
+            blocks = _step_blocks(
+                idx, inputs, targets, series, group, start, model.receptive_field, ws.cols
+            )
+            _, grads = _loss_and_grads(model, blocks, idx.size * T, ws)
             adadelta_step(params, grads, state)
     return model
 

@@ -177,6 +177,13 @@ class TestScoreForecast:
         assert result.exceedance_rate == pytest.approx(0.03)
         assert result.n_days == 100
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_var_rejected(self, bad):
+        var = np.ones(100)
+        var[40] = bad
+        with pytest.raises(DomainError, match="finite"):
+            score_forecast(np.zeros(100), var, 0.05)
+
     def test_short_series_propagates(self):
         with pytest.raises(InsufficientDataError):
             score_forecast(np.zeros(5), np.ones(5), 0.05)

@@ -189,6 +189,23 @@ class TestBacktest:
         ) == 2
 
 
+    def write_var(self, tmp_path, cell):
+        write_panel(tmp_path, n_assets=1)
+        var_path = tmp_path / "var.csv"
+        values = ["0.02"] * 100
+        values[40] = cell
+        var_path.write_text("var\n" + "\n".join(values) + "\n")
+        return ["backtest", "--prices", str(tmp_path / "asset0.csv"), "--var", str(var_path), "--theta", "0.05"]
+
+    def test_non_finite_var_exits_2(self, tmp_path, capsys):
+        assert main(self.write_var(tmp_path, "nan")) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_numeric_var_exits_2(self, tmp_path, capsys):
+        assert main(self.write_var(tmp_path, "n/a")) == 2
+        assert "line 42" in capsys.readouterr().err
+
+
 class TestReport:
     def test_rebuilds_summaries(self, tmp_path, capsys):
         manifest = write_panel(tmp_path)
@@ -199,6 +216,21 @@ class TestReport:
         (out_dir / "summary_theta0.05.csv").unlink()
         assert main(["report", "--results-dir", str(out_dir)]) == 0
         assert (out_dir / "summary_theta0.05.csv").read_bytes() == original
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "asset,exceedance_rate,p_value,mean_var\na,0.05,0.5,0.02\nb,0.04\n",
+            "asset,exceedance_rate,mean_var\na,0.05,0.02\n",
+            "asset,exceedance_rate,p_value,mean_var\na,0.05,high,0.02\n",
+        ],
+        ids=["short-row", "missing-column", "non-numeric"],
+    )
+    def test_malformed_results_exit_2(self, tmp_path, capsys, content):
+        (tmp_path / "results_qcnn_theta0.05.csv").write_text(content)
+        assert main(["report", "--results-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "results_qcnn_theta0.05.csv" in err and "line " in err
 
     def test_empty_dir_is_error(self, tmp_path, capsys):
         assert main(["report", "--results-dir", str(tmp_path)]) == 2

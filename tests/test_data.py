@@ -97,6 +97,15 @@ class TestLoadPrices:
         with pytest.raises(ParseError, match="not found"):
             load_prices(tmp_path / "nope.csv")
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        rows = ["2020-01-02,101.5", "2020-01-01,100.25", "2020-01-03,99.75"]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(plain, rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected, got = load_prices(plain), load_prices(marked)
+        assert got.dates == expected.dates
+        assert got.closes.tobytes() == expected.closes.tobytes()
+
     def test_missing_columns(self, tmp_path):
         p = tmp_path / "a.csv"
         write_csv(p, ["2020-01-01,100"], header="day,price")

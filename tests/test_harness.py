@@ -331,6 +331,28 @@ class TestRunExperiment:
             }
         ]
 
+    def test_diverged_qcnn_is_a_recorded_skip(self, tmp_path, monkeypatch):
+        manifest = write_panel(tmp_path, n_assets=2)
+        real_train = qvar.harness.train
+
+        def diverging_train(windows, theta, cfg, model=None):
+            model = real_train(windows, theta, cfg, model)
+            model.head.biases[:] = np.nan
+            return model
+
+        monkeypatch.setattr(qvar.harness, "train", diverging_train)
+        cfg = fast_cfg(
+            tmp_path, manifest=manifest, methods=("constant", "qcnn"), train=TrainConfig(epochs=1)
+        )
+        run_experiment(cfg)
+        rows = (cfg.output_dir / "results_qcnn_theta0.05.csv").read_text().splitlines()
+        assert rows[1:] == []
+        payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
+        assert payload["skipped"] == [
+            {"asset": a, "stage": "qcnn@0.05", "error": "DomainError", "reason": "VaR forecasts must be finite"}
+            for a in ("asset0", "asset1")
+        ]
+
     def test_garch_fits_once_per_asset(self, tmp_path, monkeypatch):
         manifest = write_panel(tmp_path)
         real_fit = qvar.harness.fit_garch

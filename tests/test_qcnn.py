@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qvar.data import Scaler, WindowSet
+from qvar.data import ReturnSeries, Scaler, WindowSet, fit_scaler, make_windows, pool_windows
 from qvar.errors import DomainError, InsufficientDataError, ShapeError
 from qvar.qcnn import (
     IDENTITY,
@@ -28,7 +28,7 @@ from qvar.qcnn import (
     save_model,
     train,
 )
-from qvar.qcnn import _loss_and_grads, _Workspace
+from qvar.qcnn import _loss_and_grads, _rebuild_series, _step_blocks, _Workspace
 
 
 def small_model(rng, theta=0.2, channels=2, depth=2, kernel=2):
@@ -272,7 +272,8 @@ class TestTrainingKernel:
             biases[:] = rng.uniform(-0.1, 0.1, biases.shape)
         X = rng.standard_normal((batch, time))
         Y = rng.standard_normal((batch, time))
-        loss, grads = _loss_and_grads(model, X, Y, _Workspace(model, batch, time))
+        ws = _Workspace(model, max(time, SUB_BATCH_COLUMNS))
+        loss, grads = _loss_and_grads(model, [(X, Y, 1.0)], X.size, ws)
 
         share = time / X.size
         per_sequence = [backward(model, x, y) for x, y in zip(X, Y)]
@@ -282,6 +283,91 @@ class TestTrainingKernel:
             assert np.max(np.abs(got - expected)) <= 1e-12 * scale
         q = np.vstack([forward(model, x)[0] for x in X])
         assert loss == pytest.approx(pinball_loss(Y, q, theta), rel=1e-12)
+
+
+def pooled_windows(assets, length, window, stride, seed, shared_id=False):
+    """Windows of `assets` seeded random-return series, pooled in asset order."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for a in range(assets):
+        returns = 0.01 * rng.standard_normal(length)
+        series = ReturnSeries("a" if shared_id else f"a{a}", returns, int(0.7 * length))
+        sets.append(make_windows(series, fit_scaler(series), window=window, stride=stride))
+    return pool_windows(sets)
+
+
+FULL_BATCH = {"batch": 128, "cols": SUB_BATCH_COLUMNS}
+
+
+class TestTwoPassStep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        assets=st.sampled_from((1, 2, 20)),
+        window=st.one_of(st.integers(8, 63), st.integers(64, 160)),  # below and above R = 64
+        stride=st.integers(1, 4),
+        extra=st.integers(0, 1500),
+        batch=st.integers(1, 160),
+        cols=st.one_of(st.just(SUB_BATCH_COLUMNS), st.integers(64, 600)),  # small: many chunks
+        kind=st.sampled_from(("slices", "perturbed", "shared_id")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(assets=1, window=128, stride=1, extra=3000, kind="slices", seed=1, **FULL_BATCH)
+    @example(assets=2, window=128, stride=1, extra=1500, kind="slices", seed=2, **FULL_BATCH)
+    @example(assets=20, window=128, stride=1, extra=1500, kind="slices", seed=3, **FULL_BATCH)
+    @example(assets=1, window=128, stride=1, extra=400, kind="perturbed", seed=5, **FULL_BATCH)
+    @example(assets=2, window=100, stride=2, extra=600, batch=64, cols=200, kind="shared_id", seed=4)
+    def test_matches_per_window_kernel(self, assets, window, stride, extra, batch, cols, kind, seed):
+        # the two-pass step must give the per-window kernel's batch-mean loss
+        # and gradients, and take the split exactly where it costs fewer columns
+        rng = np.random.default_rng(seed)
+        length = int((window + 2) / 0.7) + 2 + extra // assets
+        windows = pooled_windows(assets, length, window, stride, seed, shared_id=kind == "shared_id")
+        inputs, targets = windows.inputs.copy(), windows.targets.copy()
+        if kind == "perturbed":
+            # a hand-built set: some windows are no longer slices of any series
+            bad = rng.random(len(inputs)) < 0.3
+            inputs[bad] += rng.standard_normal(inputs[bad].shape)
+            windows = WindowSet(inputs=inputs, targets=targets, origins=windows.origins)
+        model = build_model(0.05, rng=rng)
+        for biases in model_parameters(model)[1::2]:
+            biases[:] = rng.uniform(-0.1, 0.1, biases.shape)
+        R = model.receptive_field
+        idx = rng.permutation(len(inputs))[:batch]
+        n = idx.size * window
+        ws = _Workspace(model, max(window, cols))
+
+        rebuilt = _rebuild_series(windows.origins, inputs, targets)
+        blocks = _step_blocks(idx, inputs, targets, *rebuilt, R, ws.cols)
+        loss, grads = _loss_and_grads(model, blocks, n, ws)
+        ref_loss, ref_grads = _loss_and_grads(model, [(inputs[idx], targets[idx], 1.0)], n, ws)
+        for got, expected in zip(grads, ref_grads):
+            scale = max(float(np.max(np.abs(expected))), 1e-300)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * scale
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-300)
+
+        rebuilt = _rebuild_series(windows.origins, inputs, targets)
+        again = _step_blocks(idx, inputs, targets, *rebuilt, R, ws.cols)
+        assert len(again) == len(blocks)
+        for block, same in zip(blocks, again):
+            for a, b in zip(block, same):
+                assert np.array_equal(a, b)
+
+        if kind == "slices":
+            # an asset's windows run whole unless k*(R-1) + span + R-1 < k*T columns
+            by_asset = {}
+            for w in idx:
+                by_asset.setdefault(windows.origins[w][0], []).append(windows.origins[w][1])
+            split = {
+                a: len(s) * (R - 1) + max(s) - min(s) + window < len(s) * window
+                for a, s in by_asset.items()
+            }
+            whole = [w for w in idx if not split[windows.origins[w][0]]]
+            if window <= R - 1 or not any(split.values()):
+                assert len(blocks) == 1
+            if whole:
+                assert np.array_equal(blocks[0][0], inputs[whole])
+            else:
+                assert blocks[0][0].shape == (idx.size, R - 1)
 
 
 class TestAdadelta:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import DomainError, InsufficientDataError, ShapeError
 
@@ -82,6 +81,8 @@ def hits(returns, var, theta: float) -> HitSeries:
 
 def chi2_sf(x: float, k: int) -> float:
     """Upper-tail chi-square probability P(chi2_k > x)."""
+    from scipy.special import chdtrc
+
     if x < 0:
         raise DomainError("chi-square statistic must be non-negative")
     if k < 1:

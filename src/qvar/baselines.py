@@ -2,7 +2,9 @@
 normal innovations, and linear quantile autoregression with 4 lags.
 
 All VaR numbers follow the sign convention VaR = -(predicted return
-quantile), so a typical lower-tail forecast comes out positive.
+quantile), so a typical lower-tail forecast comes out positive. scipy's
+solvers are imported by the functions that call them, so importing qvar
+does not load them.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
-from scipy.signal import lfilter
 
 from .errors import DomainError, FitError, InsufficientDataError, ShapeError
 
@@ -160,6 +160,8 @@ def _variance_recursion(eps2: np.ndarray, omega: float, alpha: float, beta: floa
     # sigma2[t] = (omega + alpha*eps2[t-1]) + beta*sigma2[t-1] is a first-order
     # IIR filter, so lfilter runs the exact recursion in one call; it runs one
     # day past the data, so sigma2[-1] is the next day's variance
+    from scipy.signal import lfilter
+
     driver = np.empty(eps2.size + 1)
     driver[0] = init_var
     driver[1:] = omega + alpha * eps2
@@ -229,6 +231,8 @@ def fit_garch(train_returns) -> GarchParams:
     (log omega, logit persistence, logit alpha-share). Raises FitError when
     the optimum found rounds onto the boundary, such as alpha + beta = 1.
     """
+    from scipy.optimize import minimize
+
     returns = np.asarray(train_returns, dtype=float)
     if returns.size < MIN_GARCH_OBS:
         raise InsufficientDataError(
@@ -340,6 +344,8 @@ def fit_linear_qr(train_returns, theta: float, lags: int = QR_LAGS) -> QrCoeffic
     HiGHS solver; the coefficients are the multipliers of the equality
     rows. Raises FitError when the solver does not report an optimum.
     """
+    from scipy.optimize import linprog
+
     if not 0.0 < theta < 1.0:
         raise DomainError("quantile level must lie strictly inside (0, 1)")
     returns = np.asarray(train_returns, dtype=float)

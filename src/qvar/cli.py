@@ -259,7 +259,8 @@ def _cmd_run(args) -> int:
 def _read_var_csv(path: Path) -> np.ndarray:
     if not path.exists():
         raise QvarError(f"VaR file not found: {path}")
-    with open(path, newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheets write before the header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "var" not in [f.strip().lower() for f in reader.fieldnames]:
             raise QvarError(f"{path}: expected a CSV with a 'var' column")
@@ -313,10 +314,14 @@ def _cmd_report(args) -> int:
         rows = []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            # checked on the header, so a file with no rows cannot drop a method unnoticed
+            missing = [col for col in _ResultRow._fields if col not in (reader.fieldnames or ())]
+            if missing:
+                raise ParseError(f"{path}: header lacks {', '.join(missing)}", 1)
             for r in reader:
                 try:
                     rows.append(_ResultRow(*(float(r[col]) for col in _ResultRow._fields)))
-                except (KeyError, TypeError, ValueError):
+                except (TypeError, ValueError):
                     raise ParseError(
                         f"{path}: expected numeric {', '.join(_ResultRow._fields)}", reader.line_num
                     ) from None

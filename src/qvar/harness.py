@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -53,6 +54,14 @@ METHOD_JOINT_QCNN = "joint_qcnn"
 ALL_METHODS = (METHOD_CONSTANT, METHOD_GARCH, METHOD_LINEAR_QR, METHOD_QCNN, METHOD_JOINT_QCNN)
 
 DEFAULT_THETAS = (0.05, 0.01, 0.001)
+
+# the scipy modules a method's tasks import on first use; every task scores
+_SCIPY_USED_BY = {
+    METHOD_CONSTANT: ("scipy.special",),
+    METHOD_GARCH: ("scipy.special", "scipy.optimize", "scipy.signal"),
+    METHOD_LINEAR_QR: ("scipy.special", "scipy.optimize"),
+    METHOD_QCNN: ("scipy.special",),
+}
 
 
 @dataclass(frozen=True)
@@ -434,6 +443,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     output_dir.mkdir(parents=True, exist_ok=True)
     series_list, skips = load_assets(cfg)
     if not series_list:
+        # the manifest still records why each asset was left out
+        write_run_manifest(cfg, [], skips)
         raise InsufficientDataError(f"no usable assets in manifest {cfg.manifest}")
 
     single_methods = [m for m in cfg.methods if m != METHOD_JOINT_QCNN]
@@ -441,6 +452,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     workers = min(workers, max(1, len(tasks)))
     if workers > 1:
+        # forked workers inherit the parent's modules, so importing what the
+        # tasks use once here spares every worker an import of its own
+        for method in single_methods:
+            for module in _SCIPY_USED_BY[method]:
+                importlib.import_module(module)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_task = list(pool.map(_run_task, tasks, chunksize=1))
     else:

@@ -418,6 +418,16 @@ def _rebuild_series(origins, inputs: np.ndarray, targets: np.ndarray):
     return series, group, start
 
 
+def _series_layout(windows: WindowSet, inputs: np.ndarray, targets: np.ndarray):
+    # _rebuild_series of a window set, kept on the (frozen) set after its first
+    # training: a run trains each asset's windows once per quantile level
+    layout = windows.__dict__.get("_series_layout")
+    if layout is None:
+        layout = _rebuild_series(windows.origins, inputs, targets)
+        object.__setattr__(windows, "_series_layout", layout)
+    return layout
+
+
 def _step_blocks(idx, inputs, targets, series, group, start, R, cols):
     """The kernel blocks of one training step over the windows idx.
 
@@ -578,7 +588,7 @@ def train(
     params = model_parameters(model)
     state = AdadeltaState.for_params(params, cfg.rho, cfg.epsilon)
     ws = _Workspace(model, max(T, SUB_BATCH_COLUMNS))
-    series, group, start = _rebuild_series(windows.origins, inputs, targets)
+    series, group, start = _series_layout(windows, inputs, targets)
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):

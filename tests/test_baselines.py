@@ -3,10 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog
 from scipy.sparse import eye, hstack
 
-import qvar.baselines
 from qvar.baselines import (
     GarchParams,
     QrCoefficients,
@@ -192,7 +192,8 @@ class TestGarch:
             x = np.array([x0[0], 40.0, x0[2]])
             return SimpleNamespace(x=x, fun=fun(x0), message="stub")
 
-        monkeypatch.setattr(qvar.baselines, "minimize", stop_at_unit_persistence)
+        # fit_garch imports minimize from scipy.optimize when it is called
+        monkeypatch.setattr(scipy.optimize, "minimize", stop_at_unit_persistence)
         with pytest.raises(FitError, match="boundary"):
             fit_garch(np.random.default_rng(12).standard_normal(500))
 

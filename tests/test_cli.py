@@ -205,6 +205,30 @@ class TestBacktest:
         assert main(self.write_var(tmp_path, "n/a")) == 2
         assert "line 42" in capsys.readouterr().err
 
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        args = self.write_var(tmp_path, "0.02")
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        var_path = tmp_path / "var.csv"
+        var_path.write_bytes(b"\xef\xbb\xbf" + var_path.read_bytes())
+        assert main(args) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_every_asset_failing_to_load_is_recorded(self, tmp_path, capsys):
+        (tmp_path / "bad.csv").write_text("date,close\n2020-01-01,100\n2020-01-02,-5\n")
+        manifest = tmp_path / "assets.txt"
+        manifest.write_text("bad.csv\nmissing.csv\n")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--manifest", str(manifest), "--output-dir", str(out_dir)])
+        assert code == 2
+        assert "no usable assets" in capsys.readouterr().err
+        payload = json.loads((out_dir / "run_manifest.json").read_text())
+        assert payload["assets"] == []
+        assert [(s["asset"], s["stage"]) for s in payload["skipped"]] == [
+            ("bad", "load"),
+            ("missing", "load"),
+        ]
+
 
 class TestReport:
     def test_rebuilds_summaries(self, tmp_path, capsys):
@@ -231,6 +255,23 @@ class TestReport:
         assert main(["report", "--results-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "results_qcnn_theta0.05.csv" in err and "line " in err
+
+    def test_header_only_results_missing_column_exit_2(self, tmp_path, capsys):
+        (tmp_path / "results_qcnn_theta0.05.csv").write_text("asset_id,exceedance_rate,mean_var\n")
+        assert main(["report", "--results-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "results_qcnn_theta0.05.csv" in err and "p_value" in err
+
+    def test_header_only_results_accepted(self, tmp_path, capsys):
+        (tmp_path / "results_constant_theta0.05.csv").write_text(
+            "asset_id,exceedance_rate,dq_stat,p_value,mean_var\na,0.05,1.0,0.5,0.02\n"
+        )
+        (tmp_path / "results_qcnn_theta0.05.csv").write_text(
+            "asset_id,exceedance_rate,dq_stat,p_value,mean_var\n"
+        )
+        assert main(["report", "--results-dir", str(tmp_path)]) == 0
+        rows = (tmp_path / "summary_theta0.05.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["constant"]
 
     def test_empty_dir_is_error(self, tmp_path, capsys):
         assert main(["report", "--results-dir", str(tmp_path)]) == 2

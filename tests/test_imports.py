@@ -1,0 +1,98 @@
+"""Which scipy modules a qvar process loads, each case in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import qvar
+from qvar.baselines import GarchParams
+from qvar.synthlab import GARCH11, SimSpec, simulate, write_price_csv
+
+SRC = Path(qvar.__file__).resolve().parents[1]
+SOLVERS = ("scipy.optimize", "scipy.signal")
+
+
+def run_python(*parts: str):
+    """Run the parts as one script in a new interpreter that sees this checkout.
+
+    Returns the JSON value the script prints last.
+    """
+    code = "\n".join(textwrap.dedent(part) for part in ("import json, sys", *parts))
+    path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def experiment(tmp_path, methods, workers) -> str:
+    """A script part that runs the methods over a two-asset panel at one level."""
+    garch = GarchParams(omega=0.05, alpha=0.1, beta=0.85, mu=0.0)
+    names = []
+    for i in range(2):
+        series, _ = simulate(
+            SimSpec(process=GARCH11, length=300, seed=700 + i, garch=garch), asset_id=f"a{i}"
+        )
+        write_price_csv(series, tmp_path / f"a{i}.csv")
+        names.append(f"a{i}.csv")
+    manifest = tmp_path / "assets.txt"
+    manifest.write_text("\n".join(names) + "\n")
+    return f"""
+        from pathlib import Path
+        from qvar.harness import ExperimentConfig, run_experiment
+        from qvar.qcnn import TrainConfig
+        run_experiment(ExperimentConfig(
+            manifest=Path({str(manifest)!r}),
+            output_dir=Path({str(tmp_path / "out")!r}),
+            thetas=(0.05,), methods={methods!r}, window=32, workers={workers},
+            train=TrainConfig(epochs=1, batch_size=64),
+        ))
+        """
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    loaded = run_python(
+        """
+        import qvar.cli
+        names = ("scipy.optimize", "scipy.signal", "scipy.special", "scipy.stats")
+        print(json.dumps([m for m in names if m in sys.modules]))
+        """
+    )
+    assert loaded == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_constant_and_qcnn_run_loads_no_solver(tmp_path, workers):
+    loaded = run_python(
+        experiment(tmp_path, ("constant", "qcnn"), workers),
+        f"print(json.dumps([m for m in {SOLVERS!r} if m in sys.modules]))",
+    )
+    assert loaded == []
+
+
+def test_garch_pool_parent_holds_solvers_before_fork(tmp_path):
+    # records which solvers the parent has loaded when the pool is constructed
+    setup = f"""
+        import qvar.harness
+        from concurrent.futures import ProcessPoolExecutor
+        seen = [[m for m in {SOLVERS!r} if m in sys.modules]]
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                seen.append([m for m in {SOLVERS!r} if m in sys.modules])
+                super().__init__(*args, **kwargs)
+
+        qvar.harness.ProcessPoolExecutor = Recording
+        """
+    before, at_fork = run_python(
+        setup, experiment(tmp_path, ("constant", "garch"), 2), "print(json.dumps(seen))"
+    )
+    assert before == []
+    assert at_fork == list(SOLVERS)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qvar.qcnn
 from qvar.data import ReturnSeries, Scaler, WindowSet, fit_scaler, make_windows, pool_windows
 from qvar.errors import DomainError, InsufficientDataError, ShapeError
 from qvar.qcnn import (
@@ -479,6 +481,26 @@ class TestTrain:
         model = train(ws, 0.25, cfg)
         loss1 = pinball_loss(targets, np.vstack([forward(model, x)[0] for x in inputs]), 0.25)
         assert loss1 <= loss0
+
+    def test_series_rebuilt_once_per_window_set(self, monkeypatch):
+        # a run trains one window set at every level; the rebuild of its
+        # series runs once and the trained bits match fresh window sets'
+        r = np.random.default_rng(24).standard_normal(300)
+        series = ReturnSeries(asset_id="a", returns=r, split_index=240)
+        windows = make_windows(series, fit_scaler(series), window=96)
+        cfg = TrainConfig(epochs=2, batch_size=64, seed=8)
+        thetas = (0.05, 0.01)
+        fresh = [train(dataclasses.replace(windows), theta, cfg) for theta in thetas]
+        calls = []
+        real = qvar.qcnn._rebuild_series
+        monkeypatch.setattr(
+            qvar.qcnn, "_rebuild_series", lambda *args: calls.append(1) or real(*args)
+        )
+        reused = [train(windows, theta, cfg) for theta in thetas]
+        assert len(calls) == 1
+        for a, b in zip(fresh, reused):
+            for pa, pb in zip(model_parameters(a), model_parameters(b)):
+                assert np.array_equal(pa, pb)
 
 
 class TestPredict:

@@ -140,9 +140,12 @@ def _load_config_file(path: Path) -> dict:
         raise QvarError(f"config file not found: {path}")
     ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        ini.read(path)
-    except configparser.Error as exc:
+        read = ini.read(path, encoding="utf-8-sig")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise QvarError(f"{path}: {exc}") from exc
+    # read() passes over a file it cannot open, such as a directory
+    if not read:
+        raise QvarError(f"{path}: cannot read config file")
     out: dict = {"experiment": {}, "train": {}}
     for section in ini.sections():
         if section not in out:
@@ -259,18 +262,21 @@ def _cmd_run(args) -> int:
 def _read_var_csv(path: Path) -> np.ndarray:
     if not path.exists():
         raise QvarError(f"VaR file not found: {path}")
-    # utf-8-sig drops the byte-order mark spreadsheets write before the header
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "var" not in [f.strip().lower() for f in reader.fieldnames]:
-            raise QvarError(f"{path}: expected a CSV with a 'var' column")
-        key = next(f for f in reader.fieldnames if f.strip().lower() == "var")
-        values = []
-        for row in reader:
-            try:
-                values.append(float(row[key]))
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: invalid var {row[key]!r}", reader.line_num) from None
+    try:
+        # utf-8-sig drops the byte-order mark spreadsheets write before the header
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "var" not in [f.strip().lower() for f in reader.fieldnames]:
+                raise QvarError(f"{path}: expected a CSV with a 'var' column")
+            key = next(f for f in reader.fieldnames if f.strip().lower() == "var")
+            values = []
+            for row in reader:
+                try:
+                    values.append(float(row[key]))
+                except (TypeError, ValueError):
+                    raise ParseError(f"{path}: invalid var {row[key]!r}", reader.line_num) from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: cannot read VaR file: {exc}") from None
     if not values:
         raise QvarError(f"{path}: no VaR rows")
     return np.array(values)

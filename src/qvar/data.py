@@ -139,34 +139,39 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
 
     dates: list[dt.date] = []
     closes: list[float] = []
-    # utf-8-sig drops the byte-order mark spreadsheets write before the header
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file", 1) from None
-        lowered = [h.strip().lower() for h in header]
-        try:
-            date_col = lowered.index("date")
-            close_col = lowered.index("close")
-        except ValueError:
-            raise ParseError(f"{path}: header must contain 'date' and 'close' columns", 1) from None
-        for row in reader:
-            line = reader.line_num
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) <= max(date_col, close_col):
-                raise ParseError(f"{path}: expected at least {max(date_col, close_col) + 1} columns", line)
-            date = _parse_date(row[date_col], line)
+    try:
+        # utf-8-sig drops the byte-order mark spreadsheets write before the header
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
             try:
-                close = float(row[close_col])
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: empty file", 1) from None
+            lowered = [h.strip().lower() for h in header]
+            try:
+                date_col = lowered.index("date")
+                close_col = lowered.index("close")
             except ValueError:
-                raise ParseError(f"{path}: invalid close {row[close_col]!r}", line) from None
-            if not math.isfinite(close) or close <= 0:
-                raise DomainError(f"{path} line {line}: close must be a positive finite number, got {close}")
-            dates.append(date)
-            closes.append(close)
+                raise ParseError(f"{path}: header must contain 'date' and 'close' columns", 1) from None
+            for row in reader:
+                line = reader.line_num
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) <= max(date_col, close_col):
+                    raise ParseError(f"{path}: expected at least {max(date_col, close_col) + 1} columns", line)
+                date = _parse_date(row[date_col], line)
+                try:
+                    close = float(row[close_col])
+                except ValueError:
+                    raise ParseError(f"{path}: invalid close {row[close_col]!r}", line) from None
+                if not math.isfinite(close) or close <= 0:
+                    raise DomainError(f"{path} line {line}: close must be a positive finite number, got {close}")
+                dates.append(date)
+                closes.append(close)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        # a directory, bytes that are not UTF-8, an oversized field: one
+        # unreadable file must stay that asset's problem
+        raise ParseError(f"{path}: cannot read price file: {exc}") from None
 
     seen: set[dt.date] = set()
     for d in dates:
@@ -187,8 +192,12 @@ def load_manifest(path: str | Path) -> list[Path]:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"manifest not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read manifest: {exc}") from None
     out = []
-    for raw in path.read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -135,39 +135,6 @@ def _skip(asset: str, stage: str, exc: QvarError) -> dict:
     return {"asset": asset, "stage": stage, "error": type(exc).__name__, "reason": str(exc)}
 
 
-def load_assets(cfg: ExperimentConfig) -> tuple[list[ReturnSeries], list[dict]]:
-    """Load the manifest's price files into return series.
-
-    Assets whose training segment is too short for windowing are skipped
-    with a warning rather than aborting the run. Returns the usable series
-    and a record of skips.
-    """
-    paths = load_manifest(cfg.manifest)
-    if cfg.sample_size is not None and cfg.sample_size < len(paths):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "asset-sample"))
-        chosen = sorted(rng.choice(len(paths), size=cfg.sample_size, replace=False))
-        paths = [paths[i] for i in chosen]
-    series_list: list[ReturnSeries] = []
-    skipped: list[dict] = []
-    for path in paths:
-        try:
-            series = log_returns(load_prices(path))
-        except QvarError as exc:
-            logger.warning("skipping %s: %s", path, exc)
-            skipped.append(_skip(path.stem, "load", exc))
-            continue
-        if series.split_index < cfg.window + 1:
-            reason = (
-                f"training segment has {series.split_index} returns, "
-                f"need >= {cfg.window + 1}"
-            )
-            logger.warning("skipping %s: %s", series.asset_id, reason)
-            skipped.append(_skip(series.asset_id, "load", InsufficientDataError(reason)))
-            continue
-        series_list.append(series)
-    return series_list, skipped
-
-
 def _train_config_for(cfg: ExperimentConfig, *parts) -> TrainConfig:
     return dataclasses.replace(cfg.train, seed=derive_seed(cfg.seed, *parts))
 
@@ -266,6 +233,32 @@ def run_joint_qcnn(
     warning, and appended to `skips` as a run-manifest entry when a list is
     given; the model trains when at least two assets remain.
     """
+    return _run_joint_level(_joint_pool(series_list, cfg), theta, cfg, skips)
+
+
+def _joint_pool(series_list: list[ReturnSeries], cfg: ExperimentConfig):
+    """The joint model's level-free state, fitted once for every level.
+
+    Returns each usable asset with its scaler, their pooled windows (None
+    when fewer than two remain), and each left-out asset with its error.
+    """
+    members, window_sets, left_out = [], [], []
+    for series in series_list:
+        try:
+            scaler = fit_scaler(series)
+            windows = make_windows(series, scaler, window=cfg.window, stride=cfg.stride)
+        except QvarError as exc:
+            left_out.append((series, exc))
+            continue
+        members.append((series, scaler))
+        window_sets.append(windows)
+    pooled = pool_windows(window_sets) if len(members) >= 2 else None
+    return members, pooled, left_out
+
+
+def _run_joint_level(joint_pool, theta: float, cfg: ExperimentConfig, skips: list[dict] | None):
+    """run_joint_qcnn at one level, from the state _joint_pool fitted."""
+    members, pooled, left_out = joint_pool
     stage = f"{METHOD_JOINT_QCNN}@{_theta_tag(theta)}"
 
     def leave_out(series: ReturnSeries, exc: QvarError) -> None:
@@ -273,23 +266,17 @@ def run_joint_qcnn(
         if skips is not None:
             skips.append(_skip(series.asset_id, stage, exc))
 
-    pooled_series, window_sets = [], []
-    for series in series_list:
-        try:
-            scaler = fit_scaler(series)
-            windows = make_windows(series, scaler, window=cfg.window, stride=cfg.stride)
-        except QvarError as exc:
-            leave_out(series, exc)
-            continue
-        pooled_series.append(series)
-        window_sets.append(windows)
-    if len(pooled_series) < 2:
+    for series, exc in left_out:
+        leave_out(series, exc)
+    if pooled is None:
         raise InsufficientDataError("joint training needs at least 2 assets")
-    model = train(pool_windows(window_sets), theta, _train_config_for(cfg, "joint_qcnn", theta))
+    model = train(pooled, theta, _train_config_for(cfg, "joint_qcnn", theta))
     out = {}
-    for series in pooled_series:
+    for series, scaler in members:
         try:
-            out[series.asset_id] = run_single(series, theta, METHOD_JOINT_QCNN, cfg, model=model)
+            out[series.asset_id] = _forecast(
+                series, theta, METHOD_JOINT_QCNN, cfg, (scaler, None), model
+            )
         except QvarError as exc:
             leave_out(series, exc)
     return out, model
@@ -327,18 +314,18 @@ def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
 # ---------------------------------------------------------------------------
 
 
-def _run_task(args):
+def _run_task(series: ReturnSeries, method: str, cfg: ExperimentConfig) -> list:
     """One (asset, method) at every level of cfg.thetas, in that order.
 
     The level-free fit runs once; if it fails, every level records its
     error. Otherwise each level is forecast and scored on its own, so a
-    failing level records only its own skip.
+    failing level records only its own skip. A level's outcome is its
+    BacktestResult, its series file written first when the run asks for
+    one, or its run-manifest skip.
     """
-    series, method, cfg = args
 
     def skipped(theta, exc):
-        stage = f"{method}@{_theta_tag(theta)}"
-        return series.asset_id, theta, method, "skip", _skip(series.asset_id, stage, exc)
+        return _skip(series.asset_id, f"{method}@{_theta_tag(theta)}", exc)
 
     try:
         fitted = _fit_level_free(series, method, cfg)
@@ -347,12 +334,34 @@ def _run_task(args):
     outcomes = []
     for theta in cfg.thetas:
         try:
-            pair = _forecast(series, theta, method, cfg, fitted)
+            forecast, result = _forecast(series, theta, method, cfg, fitted)
         except QvarError as exc:
             outcomes.append(skipped(theta, exc))
-        else:
-            outcomes.append((series.asset_id, theta, method, "ok", pair))
+            continue
+        if cfg.write_series:
+            _write_series_csv(cfg.output_dir, forecast)
+        outcomes.append(result)
     return outcomes
+
+
+def _run_asset(path: Path, cfg: ExperimentConfig):
+    """One pool task: load an asset's price file and run every single-asset
+    method on it.
+
+    Returns (None, the load skip) when the file cannot be read or its
+    training segment is too short to window; otherwise the series and, per
+    method, the outcomes _run_task returns.
+    """
+    try:
+        series = log_returns(load_prices(path))
+        if series.split_index < cfg.window + 1:
+            raise InsufficientDataError(
+                f"training segment has {series.split_index} returns, need >= {cfg.window + 1}"
+            )
+    except QvarError as exc:
+        logger.warning("skipping %s: %s", path, exc)
+        return None, _skip(path.stem, "load", exc)
+    return series, {m: _run_task(series, m, cfg) for m in cfg.methods if m != METHOD_JOINT_QCNN}
 
 
 def _theta_tag(theta: float) -> str:
@@ -431,24 +440,30 @@ def write_run_manifest(cfg: ExperimentConfig, assets: list[str], skips: list[dic
 def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     """Run every (asset, method, theta), write the report files, return summaries.
 
-    A task is one (asset, method) over every quantile level: it fits the
-    level-free state once (GARCH parameters, a QCNN's scaler and windows)
-    and each level's own model after it. Tasks are independent and run on a
-    process pool when workers allow; per-task seeds still come from the
-    (asset, method, level) identity. The joint model trains once per theta
-    in the main process. Output is deterministic for a fixed config and seed
+    A task is one asset: it loads the price file, runs each single-asset
+    method over every quantile level, fitting the level-free state once
+    (GARCH parameters, a QCNN's scaler and windows) and each level's own
+    model after it, and writes the asset's series files. Tasks are
+    independent and run on a process pool when workers allow; per-task
+    seeds still come from the (asset, method, level) identity. The joint
+    model's pooled windows are built once, and it trains once per theta in
+    the main process. Output is deterministic for a fixed config and seed
     regardless of worker count.
     """
     output_dir = Path(cfg.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    series_list, skips = load_assets(cfg)
-    if not series_list:
-        # the manifest still records why each asset was left out
-        write_run_manifest(cfg, [], skips)
-        raise InsufficientDataError(f"no usable assets in manifest {cfg.manifest}")
+    paths = load_manifest(cfg.manifest)
+    if cfg.sample_size is not None and cfg.sample_size < len(paths):
+        rng = np.random.default_rng(derive_seed(cfg.seed, "asset-sample"))
+        chosen = sorted(rng.choice(len(paths), size=cfg.sample_size, replace=False))
+        paths = [paths[i] for i in chosen]
+    # an asset id names its output files, so only its first path is run
+    first: dict[str, int] = {}
+    for i, path in enumerate(paths):
+        first.setdefault(path.stem, i)
+    tasks = [paths[i] for i in first.values()]
 
     single_methods = [m for m in cfg.methods if m != METHOD_JOINT_QCNN]
-    tasks = [(series, method, cfg) for method in single_methods for series in series_list]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     workers = min(workers, max(1, len(tasks)))
     if workers > 1:
@@ -458,49 +473,66 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
             for module in _SCIPY_USED_BY[method]:
                 importlib.import_module(module)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_task = list(pool.map(_run_task, tasks, chunksize=1))
+            done = list(pool.map(_run_asset, tasks, [cfg] * len(tasks), chunksize=1))
     else:
-        per_task = [_run_task(t) for t in tasks]
-    # tasks run in (method, asset) order and return their levels in theta
-    # order; read them back in (theta, method, asset) order, the order in
-    # which skips are recorded
-    outcomes = [outcome for level in zip(*per_task) for outcome in level]
+        done = [_run_asset(path, cfg) for path in tasks]
 
-    by_key: dict[tuple[str, float, str], tuple[VarForecast, BacktestResult]] = {}
-    for asset_id, theta, method, status, payload in outcomes:
-        if status == "ok":
-            by_key[(asset_id, theta, method)] = payload
+    # load skips first, in manifest order
+    skips: list[dict] = []
+    loaded: list[tuple[ReturnSeries, dict[str, list]]] = []
+    task_results = iter(done)
+    for i, path in enumerate(paths):
+        if first[path.stem] != i:
+            taken = DomainError(f"asset id {path.stem!r} is taken by {paths[first[path.stem]]}")
+            logger.warning("skipping %s: %s", path, taken)
+            skips.append(_skip(path.stem, "load", taken))
+            continue
+        series, outcomes = next(task_results)
+        if series is None:
+            skips.append(outcomes)
         else:
-            logger.warning(
-                "skipping %s/%s at theta=%s: %s", asset_id, method, theta, payload["reason"]
-            )
-            skips.append(payload)
+            loaded.append((series, outcomes))
+    series_list = [series for series, _ in loaded]
+    if not series_list:
+        # the manifest still records why each asset was left out
+        write_run_manifest(cfg, [], skips)
+        raise InsufficientDataError(f"no usable assets in manifest {cfg.manifest}")
 
+    # then each level's skips, in (theta, method, asset) order
+    results: dict[tuple[str, float, str], BacktestResult] = {}
+    for level, theta in enumerate(cfg.thetas):
+        for method in single_methods:
+            for series, outcomes in loaded:
+                outcome = outcomes[method][level]
+                if isinstance(outcome, BacktestResult):
+                    results[(series.asset_id, theta, method)] = outcome
+                else:
+                    logger.warning(
+                        "skipping %s/%s at theta=%s: %s",
+                        series.asset_id, method, theta, outcome["reason"],
+                    )
+                    skips.append(outcome)
+
+    joint_pool = _joint_pool(series_list, cfg) if METHOD_JOINT_QCNN in cfg.methods else None
     summaries_by_theta: dict[float, list[MethodSummary]] = {}
     for theta in cfg.thetas:
-        joint: dict[str, tuple[VarForecast, BacktestResult]] = {}
-        if METHOD_JOINT_QCNN in cfg.methods:
+        if joint_pool is not None:
             try:
-                joint, joint_model = run_joint_qcnn(series_list, theta, cfg, skips)
+                joint, joint_model = _run_joint_level(joint_pool, theta, cfg, skips)
                 save_model(joint_model, output_dir / f"joint_qcnn_theta{_theta_tag(theta)}.json")
             except QvarError as exc:
                 logger.warning("joint_qcnn skipped at theta=%s: %s", theta, exc)
                 skips.append(_skip("*", f"{METHOD_JOINT_QCNN}@{_theta_tag(theta)}", exc))
+            else:
+                for asset_id, (forecast, result) in joint.items():
+                    results[(asset_id, theta, METHOD_JOINT_QCNN)] = result
+                    if cfg.write_series:
+                        _write_series_csv(output_dir, forecast)
 
         per_method: dict[str, list[BacktestResult]] = {}
         for method in cfg.methods:
-            rows: list[tuple[str, BacktestResult]] = []
-            for series in series_list:
-                if method == METHOD_JOINT_QCNN:
-                    pair = joint.get(series.asset_id)
-                else:
-                    pair = by_key.get((series.asset_id, theta, method))
-                if pair is None:
-                    continue
-                forecast, result = pair
-                rows.append((series.asset_id, result))
-                if cfg.write_series:
-                    _write_series_csv(output_dir, forecast)
+            keys = [(s.asset_id, theta, method) for s in series_list]
+            rows = [(key[0], results[key]) for key in keys if key in results]
             per_method[method] = [r for _, r in rows]
             write_results_csv(results_csv_path(output_dir, method, theta), rows)
         summaries = aggregate(per_method)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,43 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_config_byte_order_mark_ignored(self, tmp_path, capsys):
+        manifest = write_panel(tmp_path, n_assets=1)
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path, manifest, out_dir, seed=5)
+        cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert json.loads((out_dir / "run_manifest.json").read_text())["config"]["seed"] == 5
+
+    @pytest.mark.parametrize("kind", ["not-utf-8", "directory"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "bad.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(b"[experiment]\nseed = \xff\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "bad.cfg" in capsys.readouterr().err
+
+    def test_unreadable_price_files_are_load_skips(self, tmp_path, capsys):
+        write_panel(tmp_path, n_assets=2)
+        (tmp_path / "latin1.csv").write_bytes(b"date,close\n2020-01-01,100\n2020-01-02,\xe9\n")
+        (tmp_path / "wide.csv").write_bytes(b"date,close\n2020-01-01," + b"1" * 140_000 + b"\n")
+        manifest = tmp_path / "assets.txt"
+        # "." names the manifest's own directory
+        manifest.write_bytes(b"\xef\xbb\xbfasset0.csv\nlatin1.csv\nwide.csv\n.\nasset1.csv\n")
+        out_dir = tmp_path / "out"
+        code = main(["run", "--manifest", str(manifest), "--output-dir", str(out_dir),
+                     "--methods", "constant", "--theta", "0.05", "--window", "32"])
+        assert code == 0
+        payload = json.loads((out_dir / "run_manifest.json").read_text())
+        assert payload["assets"] == ["asset0", "asset1"]
+        assert [(s["asset"], s["stage"], s["error"]) for s in payload["skipped"]] == [
+            ("latin1", "load", "ParseError"),
+            ("wide", "load", "ParseError"),
+            (tmp_path.name, "load", "ParseError"),
+        ]
+
 
 class TestBacktest:
     def test_scores_series(self, tmp_path, capsys):
@@ -213,6 +251,14 @@ class TestBacktest:
         var_path.write_bytes(b"\xef\xbb\xbf" + var_path.read_bytes())
         assert main(args) == 0
         assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("bad", ["--prices", "--var"])
+    def test_file_not_utf_8_exits_2(self, tmp_path, capsys, bad):
+        args = self.write_var(tmp_path, "0.02")
+        path = Path(args[args.index(bad) + 1])
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        assert main(args) == 2
+        assert path.name in capsys.readouterr().err
 
     def test_every_asset_failing_to_load_is_recorded(self, tmp_path, capsys):
         (tmp_path / "bad.csv").write_text("date,close\n2020-01-01,100\n2020-01-02,-5\n")

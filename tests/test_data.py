@@ -112,6 +112,25 @@ class TestLoadPrices:
         with pytest.raises(ParseError, match="header"):
             load_prices(p)
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"date,close\n2020-01-01,100\n2020-01-02,\xff\n",
+            b"date,close\n2020-01-01," + b"1" * 140_000 + b"\n",
+        ],
+        ids=["not-utf-8", "oversized-field"],
+    )
+    def test_unreadable_file_is_a_parse_error(self, tmp_path, content):
+        p = tmp_path / "a.csv"
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match="a.csv"):
+            load_prices(p)
+
+    def test_directory_is_a_parse_error(self, tmp_path):
+        (tmp_path / "d.csv").mkdir()
+        with pytest.raises(ParseError, match="d.csv"):
+            load_prices(tmp_path / "d.csv")
+
 
 class TestLogReturns:
     def make_prices(self, closes):
@@ -152,7 +171,7 @@ class TestLogReturns:
             PriceSeries(asset_id="x", dates=(), closes=np.array([]))
 
     def test_pickles_to_its_returns(self, tmp_path):
-        # a run ships each return series to its pool workers
+        # pool workers send each loaded return series back to the run
         simulated, _ = simulate(SimSpec(process=IID_NORMAL, length=2000, seed=3))
         write_price_csv(simulated, tmp_path / "a.csv")
         series = log_returns(load_prices(tmp_path / "a.csv"))
@@ -279,3 +298,19 @@ def test_load_manifest(tmp_path):
     assert paths == [tmp_path / "a.csv"]
     with pytest.raises(ParseError, match="not found"):
         load_manifest(tmp_path / "missing.txt")
+
+
+def test_load_manifest_ignores_byte_order_mark(tmp_path):
+    man = tmp_path / "assets.txt"
+    man.write_bytes(b"\xef\xbb\xbfa.csv\nb.csv\n")
+    assert load_manifest(man) == [tmp_path / "a.csv", tmp_path / "b.csv"]
+
+
+def test_unreadable_manifest_is_a_parse_error(tmp_path):
+    man = tmp_path / "assets.txt"
+    man.write_bytes(b"a.csv\n\xff.csv\n")
+    with pytest.raises(ParseError, match="assets.txt"):
+        load_manifest(man)
+    (tmp_path / "dir.txt").mkdir()
+    with pytest.raises(ParseError, match="dir.txt"):
+        load_manifest(tmp_path / "dir.txt")

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from qvar.harness import (
     ExperimentConfig,
     aggregate,
     derive_seed,
-    load_assets,
     run_experiment,
     run_joint_qcnn,
     run_single,
@@ -200,27 +201,31 @@ def write_panel(tmp_path, n_assets=3, length=400):
     return manifest
 
 
-class TestLoadAssets:
-    def test_loads_and_skips_short(self, tmp_path, caplog):
+class TestRunExperiment:
+    def test_loads_and_skips_short(self, tmp_path):
         manifest = write_panel(tmp_path, n_assets=2)
         short, _ = simulate(SimSpec(process=GARCH11, length=40, seed=999, garch=GARCH))
         write_price_csv(short, tmp_path / "short.csv")
         manifest.write_text(manifest.read_text() + "short.csv\n")
-        cfg = fast_cfg(tmp_path, manifest=manifest)
-        series, skipped = load_assets(cfg)
-        assert [s.asset_id for s in series] == ["asset0", "asset1"]
-        assert len(skipped) == 1 and skipped[0]["asset"] == "short"
+        cfg = fast_cfg(tmp_path, manifest=manifest, methods=("constant",))
+        run_experiment(cfg)
+        payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
+        assert payload["assets"] == ["asset0", "asset1"]
+        assert [(s["asset"], s["stage"]) for s in payload["skipped"]] == [("short", "load")]
 
     def test_sample_size_is_seeded(self, tmp_path):
         manifest = write_panel(tmp_path, n_assets=5)
-        cfg = fast_cfg(tmp_path, manifest=manifest, sample_size=3)
-        a, _ = load_assets(cfg)
-        b, _ = load_assets(cfg)
-        assert [s.asset_id for s in a] == [s.asset_id for s in b]
-        assert len(a) == 3
+        chosen = []
+        for out in ("o1", "o2"):
+            cfg = fast_cfg(
+                tmp_path, manifest=manifest, output_dir=tmp_path / out,
+                methods=("constant",), sample_size=3,
+            )
+            run_experiment(cfg)
+            chosen.append(json.loads((cfg.output_dir / "run_manifest.json").read_text())["assets"])
+        assert chosen[0] == chosen[1]
+        assert len(chosen[0]) == 3
 
-
-class TestRunExperiment:
     def test_writes_report_files(self, tmp_path):
         manifest = write_panel(tmp_path)
         cfg = fast_cfg(tmp_path, manifest=manifest)
@@ -265,16 +270,107 @@ class TestRunExperiment:
 
     def test_worker_pool_matches_serial(self, tmp_path):
         manifest = write_panel(tmp_path)
+        short, _ = simulate(SimSpec(process=GARCH11, length=40, seed=999, garch=GARCH))
+        write_price_csv(short, tmp_path / "short.csv")
+        # two assets that fail to load, between the good ones
+        manifest.write_text("asset0.csv\nmissing.csv\nasset1.csv\nshort.csv\nasset2.csv\n")
         methods = ("constant", "garch", "linear_qr", "qcnn")
-        common = dict(manifest=manifest, methods=methods, thetas=(0.05, 0.01))
+        common = dict(manifest=manifest, methods=methods, thetas=(0.05, 0.01), write_series=True)
         serial = fast_cfg(tmp_path, output_dir=tmp_path / "o1", workers=1, **common)
         pooled = fast_cfg(tmp_path, output_dir=tmp_path / "o2", workers=3, **common)
         run_experiment(serial)
         run_experiment(pooled)
-        for p in sorted(serial.output_dir.iterdir()):
-            if p.name == "run_manifest.json":
-                continue  # records the differing output_dir
-            assert p.read_bytes() == (pooled.output_dir / p.name).read_bytes()
+        names = sorted(p.name for p in serial.output_dir.iterdir())
+        assert names == sorted(p.name for p in pooled.output_dir.iterdir())
+        assert sum(name.startswith("series_") for name in names) == 3 * 4 * 2
+        for name in names:
+            a = (serial.output_dir / name).read_bytes()
+            b = (pooled.output_dir / name).read_bytes()
+            if name == "run_manifest.json":
+                # the manifests differ only in the output_dir they record
+                a, b = json.loads(a), json.loads(b)
+                a["config"]["output_dir"] = b["config"]["output_dir"] = ""
+                assert [(s["asset"], s["stage"]) for s in a["skipped"]] == [
+                    ("missing", "load"),
+                    ("short", "load"),
+                ]
+            assert a == b, name
+
+    def test_each_price_file_read_once_in_workers(self, tmp_path, monkeypatch):
+        manifest = write_panel(tmp_path)
+        real_load = qvar.harness.load_prices
+        log = tmp_path / "reads.txt"
+
+        def recording_load(path, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {Path(path).name}\n")
+            return real_load(path, *args, **kwargs)
+
+        monkeypatch.setattr(qvar.harness, "load_prices", recording_load)
+        for workers in (1, 2):
+            log.write_text("")
+            cfg = fast_cfg(
+                tmp_path, manifest=manifest, output_dir=tmp_path / f"o{workers}",
+                methods=("constant", "garch", "joint_qcnn"), thetas=(0.05, 0.01),
+                train=TrainConfig(epochs=1, batch_size=64), workers=workers,
+            )
+            run_experiment(cfg)
+            reads = [line.split() for line in log.read_text().splitlines()]
+            assert sorted(name for _, name in reads) == ["asset0.csv", "asset1.csv", "asset2.csv"]
+            pids = {int(pid) for pid, _ in reads}
+            if workers == 1:
+                assert pids == {os.getpid()}
+            else:
+                assert os.getpid() not in pids
+
+    def test_duplicate_asset_id_is_a_load_skip(self, tmp_path):
+        manifest = write_panel(tmp_path, n_assets=2)
+        (tmp_path / "again").mkdir()
+        write_price_csv(sim_series(5, asset_id="asset0"), tmp_path / "again" / "asset0.csv")
+        manifest.write_text("asset0.csv\nagain/asset0.csv\nasset1.csv\n")
+        for workers in (1, 2):
+            cfg = fast_cfg(
+                tmp_path, manifest=manifest, output_dir=tmp_path / f"o{workers}",
+                methods=("constant",), workers=workers, write_series=True,
+            )
+            run_experiment(cfg)
+            rows = (cfg.output_dir / "results_constant_theta0.05.csv").read_text().splitlines()
+            assert [row.split(",")[0] for row in rows[1:]] == ["asset0", "asset1"]
+            payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
+            assert [(s["asset"], s["stage"], s["error"]) for s in payload["skipped"]] == [
+                ("asset0", "load", "DomainError")
+            ]
+        for name in ("results_constant_theta0.05.csv", "series_constant_theta0.05_asset0.csv"):
+            assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
+
+    def test_joint_windows_built_once_per_run(self, tmp_path, monkeypatch):
+        manifest = write_panel(tmp_path, n_assets=2)
+        flat = ReturnSeries(asset_id="flat", returns=np.zeros(399), split_index=300)
+        write_price_csv(flat, tmp_path / "flat.csv")
+        manifest.write_text("asset0.csv\nflat.csv\nasset1.csv\n")
+        real_make = qvar.harness.make_windows
+        made = []
+
+        def counting_make(series, *args, **kwargs):
+            made.append(series.asset_id)
+            return real_make(series, *args, **kwargs)
+
+        monkeypatch.setattr(qvar.harness, "make_windows", counting_make)
+        cfg = fast_cfg(
+            tmp_path, manifest=manifest, methods=("joint_qcnn",), thetas=(0.05, 0.01),
+            train=TrainConfig(epochs=1, batch_size=64),
+        )
+        run_experiment(cfg)
+        assert made == ["asset0", "asset1"]
+        for theta in cfg.thetas:
+            rows = (cfg.output_dir / f"results_joint_qcnn_theta{theta:g}.csv").read_text().splitlines()
+            assert [row.split(",")[0] for row in rows[1:]] == ["asset0", "asset1"]
+        # the asset the pool leaves out is still recorded at every level
+        payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
+        assert [(s["asset"], s["stage"]) for s in payload["skipped"]] == [
+            ("flat", "joint_qcnn@0.05"),
+            ("flat", "joint_qcnn@0.01"),
+        ]
 
     def test_method_failures_recorded_not_fatal(self, tmp_path):
         # 60 training returns: linear_qr fits, garch (needs 100) is skipped

@@ -1,12 +1,14 @@
 """Property tests: every forecaster keeps the path contract under random
-truncation, the fitters turn hostile inputs into qvar errors only, and price
-files load back bit-exact in date order."""
+truncation, the fitters turn hostile inputs into qvar errors only, price
+files load back bit-exact in date order, and a run survives broken price
+files."""
 
 import datetime as dt
+import json
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qvar.baselines import (
@@ -20,9 +22,11 @@ from qvar.baselines import (
     linear_qr_var,
     linear_qr_var_path,
 )
+from qvar.cli import main
 from qvar.data import ReturnSeries, Scaler, fit_scaler, load_prices, make_windows
 from qvar.errors import QvarError
 from qvar.qcnn import build_model, predict_var, predict_var_series
+from qvar.synthlab import IID_NORMAL, SimSpec, simulate, write_price_csv
 
 THETAS = (0.05, 0.01, 0.001)
 
@@ -173,3 +177,75 @@ def test_price_csv_round_trip(tmp_path_factory, case):
     assert shuffled.closes.tobytes() == np.array([closes[i] for i in by_date]).tobytes()
     assert shuffled.dates == in_order.dates
     assert shuffled.closes.tobytes() == in_order.closes.tobytes()
+
+
+BROKEN_KINDS = (
+    "not_utf_8", "nul", "byte_order_mark", "missing_column", "bad_close",
+    "duplicate_date", "oversized_field",
+)
+
+
+@st.composite
+def broken_price_files(draw):
+    """The bytes of a price file that would load, with one defect that must stop it."""
+    n = 60
+    dates = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(n)]
+    rows = [[d.isoformat().encode(), repr(100.0 + i % 7).encode()] for i, d in enumerate(dates)]
+    header = b"date,close"
+    at = draw(st.integers(0, n - 1))
+    col = draw(st.integers(0, 1))
+    kind = draw(st.sampled_from(BROKEN_KINDS))
+    if kind == "not_utf_8":
+        rows[at][col] += draw(st.sampled_from((b"\xff", b"\xc3\x28", b"\x80", b"\xe9")))
+    elif kind == "nul":
+        field = rows[at][col]
+        cut = draw(st.integers(0, len(field)))
+        rows[at][col] = field[:cut] + b"\x00" + field[cut:]
+    elif kind == "byte_order_mark":
+        # legal before the header only
+        rows[at][col] = b"\xef\xbb\xbf" + rows[at][col]
+    elif kind == "missing_column":
+        if draw(st.booleans()):
+            header = draw(st.sampled_from((b"date,price", b"day,close", b"date")))
+        else:
+            rows[at] = rows[at][:1]
+    elif kind == "bad_close":
+        rows[at][1] = draw(st.sampled_from((b"abc", b"", b"0", b"-3.5", b"nan", b"inf", b"1e")))
+    elif kind == "duplicate_date":
+        rows[at][0] = rows[(at + 1) % n][0]
+    else:
+        rows[at][col] = b"1" * draw(st.integers(131_073, 140_000))
+    return header + b"\n" + b"\n".join(b",".join(r) for r in rows) + b"\n"
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(broken=st.lists(broken_price_files(), min_size=1, max_size=3))
+def test_run_skips_broken_price_files(tmp_path_factory, capfd, broken):
+    directory = tmp_path_factory.mktemp("panel")
+    names = []
+    for i in range(2):
+        series, _ = simulate(SimSpec(process=IID_NORMAL, length=100, seed=i), asset_id=f"good{i}")
+        write_price_csv(series, directory / f"good{i}.csv")
+        names.append(f"good{i}.csv")
+    for i, content in enumerate(broken):
+        (directory / f"bad{i}.csv").write_bytes(content)
+        names.insert(1, f"bad{i}.csv")
+    (directory / "assets.txt").write_text("\n".join(names) + "\n")
+    written = {}
+    for workers in ("1", "2"):
+        out = directory / f"out{workers}"
+        code = main(["run", "--manifest", str(directory / "assets.txt"), "--output-dir", str(out),
+                     "--methods", "constant", "--theta", "0.05", "--window", "16",
+                     "--workers", workers])
+        assert code == 0
+        assert "Traceback" not in capfd.readouterr().err
+        skipped = json.loads((out / "run_manifest.json").read_text())["skipped"]
+        assert sorted((s["asset"], s["stage"]) for s in skipped) == [
+            (f"bad{i}", "load") for i in range(len(broken))
+        ]
+        rows = (out / "results_constant_theta0.05.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["good0", "good1"]
+        written[workers] = skipped, {
+            p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"
+        }
+    assert written["1"] == written["2"]

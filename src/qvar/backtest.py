@@ -101,6 +101,8 @@ def dq_regressors(hit: HitSeries, var, hit_lags: int = DEFAULT_HIT_LAGS):
     The first hit_lags observations are dropped so every row has a full set
     of lags.
     """
+    if hit_lags < 0:
+        raise DomainError(f"hit_lags must be >= 0, got {hit_lags}")
     var = np.asarray(var, dtype=float)
     h = hit.values
     if var.shape != h.shape:

@@ -318,19 +318,24 @@ def _cmd_report(args) -> int:
         stem = path.stem[len("results_") :]
         method, _, tag = stem.rpartition("_theta")
         rows = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            # checked on the header, so a file with no rows cannot drop a method unnoticed
-            missing = [col for col in _ResultRow._fields if col not in (reader.fieldnames or ())]
-            if missing:
-                raise ParseError(f"{path}: header lacks {', '.join(missing)}", 1)
-            for r in reader:
-                try:
-                    rows.append(_ResultRow(*(float(r[col]) for col in _ResultRow._fields)))
-                except (TypeError, ValueError):
-                    raise ParseError(
-                        f"{path}: expected numeric {', '.join(_ResultRow._fields)}", reader.line_num
-                    ) from None
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                reader = csv.DictReader(fh)
+                # checked on the header, so a file with no rows cannot drop a method unnoticed
+                header = reader.fieldnames or ()
+                missing = [col for col in _ResultRow._fields if col not in header]
+                if missing:
+                    raise ParseError(f"{path}: header lacks {', '.join(missing)}", 1)
+                for r in reader:
+                    try:
+                        rows.append(_ResultRow(*(float(r[col]) for col in _ResultRow._fields)))
+                    except (TypeError, ValueError):
+                        raise ParseError(
+                            f"{path}: expected numeric {', '.join(_ResultRow._fields)}",
+                            reader.line_num,
+                        ) from None
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            raise ParseError(f"{path}: cannot read results file: {exc}") from None
         groups.setdefault(tag, {})[method] = rows
     if not groups:
         raise QvarError(f"no results_*_theta*.csv files in {results_dir}")

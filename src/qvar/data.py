@@ -95,26 +95,44 @@ class Scaler:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Overlapping training sequences paired with their one-step-ahead targets.
+    """Overlapping training sequences cut from each asset's scaled training series.
 
-    inputs[w] holds `window` consecutive scaled training returns starting at
-    origins[w][1]; targets[w] is the same slice shifted forward one step.
+    series maps an asset id to its scaled training returns. Window w starts
+    at day s of asset a's series, (a, s) = origins[w]: inputs[w] is
+    series[a][s : s + window] and targets[w] the same slice one day later.
     """
 
-    inputs: np.ndarray
-    targets: np.ndarray
+    series: dict[str, np.ndarray]
     origins: tuple[tuple[str, int], ...]
+    window: int
 
     def __post_init__(self):
-        if self.inputs.shape != self.targets.shape or len(self.inputs) != len(self.origins):
-            raise DomainError("window inputs, targets and origins do not line up")
+        if self.window < 1:
+            raise DomainError(f"window must be positive, got {self.window}")
+        for asset, values in self.series.items():
+            if not np.all(np.isfinite(values)):
+                raise DomainError(f"{asset}: scaled training series has a non-finite value")
+        last = {asset: len(values) - self.window - 1 for asset, values in self.series.items()}
+        for asset, start in self.origins:
+            if not 0 <= start <= last.get(asset, -1):
+                raise DomainError(
+                    f"window ({asset!r}, {start}) of length {self.window} does not fit its series"
+                )
 
     def __len__(self) -> int:
-        return len(self.inputs)
+        return len(self.origins)
+
+    def _slices(self, shift: int) -> np.ndarray:
+        rows = [self.series[a][s + shift : s + shift + self.window] for a, s in self.origins]
+        return np.array(rows, dtype=float).reshape(len(self), self.window)
 
     @property
-    def window(self) -> int:
-        return self.inputs.shape[1]
+    def inputs(self) -> np.ndarray:
+        return self._slices(0)
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self._slices(1)
 
 
 def _parse_date(text: str, line: int) -> dt.date:
@@ -190,11 +208,12 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
 def load_manifest(path: str | Path) -> list[Path]:
     """Read a manifest of asset CSV paths, one per line, relative to the manifest."""
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"manifest not found: {path}")
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+    except FileNotFoundError:
+        raise ParseError(f"manifest not found: {path}") from None
+    except (OSError, ValueError) as exc:
+        # a directory, bytes that are not UTF-8, a name the OS rejects
         raise ParseError(f"{path}: cannot read manifest: {exc}") from None
     out = []
     for raw in text.splitlines():
@@ -271,27 +290,29 @@ def make_windows(
             f"{series.asset_id}: training segment has {len(train)} returns, "
             f"need >= {window + 1} for windowing"
         )
-    scaled = apply_scaler(train, scaler)
-    last_start = len(train) - window - 1
-    starts = np.arange(0, last_start + 1, stride)
-    inputs = np.stack([scaled[s : s + window] for s in starts])
-    targets = np.stack([scaled[s + 1 : s + window + 1] for s in starts])
+    starts = range(0, len(train) - window, stride)
     return WindowSet(
-        inputs=inputs,
-        targets=targets,
-        origins=tuple((series.asset_id, int(s)) for s in starts),
+        series={series.asset_id: apply_scaler(train, scaler)},
+        origins=tuple((series.asset_id, s) for s in starts),
+        window=window,
     )
 
 
 def pool_windows(window_sets: list[WindowSet]) -> WindowSet:
-    """Concatenate window sets from several assets into one training pool."""
+    """Merge window sets from several assets into one training pool."""
     if not window_sets:
         raise InsufficientDataError("no window sets to pool")
     widths = {ws.window for ws in window_sets}
     if len(widths) != 1:
         raise DomainError(f"cannot pool windows of different lengths: {sorted(widths)}")
+    series: dict[str, np.ndarray] = {}
+    for ws in window_sets:
+        for asset, values in ws.series.items():
+            if asset in series:
+                raise DomainError(f"asset id {asset!r} appears in more than one window set")
+            series[asset] = values
     return WindowSet(
-        inputs=np.concatenate([ws.inputs for ws in window_sets]),
-        targets=np.concatenate([ws.targets for ws in window_sets]),
+        series=series,
         origins=tuple(o for ws in window_sets for o in ws.origins),
+        window=widths.pop(),
     )

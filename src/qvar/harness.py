@@ -81,8 +81,12 @@ class ExperimentConfig:
     write_series: bool = False
 
     def __post_init__(self):
-        if not self.methods:
-            raise DomainError("methods list must not be empty")
+        for name in ("methods", "thetas"):
+            values = getattr(self, name)
+            if not values:
+                raise DomainError(f"{name} list must not be empty")
+            if len(set(values)) != len(values):
+                raise DomainError(f"{name} list repeats a value: {values}")
         for m in self.methods:
             if m not in ALL_METHODS:
                 raise DomainError(f"unknown method {m!r}; choose from {ALL_METHODS}")
@@ -451,7 +455,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     regardless of worker count.
     """
     output_dir = Path(cfg.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        # a name the OS rejects (too long, a NUL byte), or a file in the way
+        raise DomainError(f"cannot create output directory {output_dir}: {exc}") from None
     paths = load_manifest(cfg.manifest)
     if cfg.sample_size is not None and cfg.sample_size < len(paths):
         rng = np.random.default_rng(derive_seed(cfg.seed, "asset-sample"))

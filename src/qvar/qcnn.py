@@ -374,61 +374,20 @@ def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
     return loss / n, grads
 
 
-def _rebuild_series(origins, inputs: np.ndarray, targets: np.ndarray):
-    """Each asset's scaled series, rebuilt from its windows, and where each window sits in it.
+def _concat_series(windows: WindowSet):
+    """The set's series laid end to end, with each window's group and start in them.
 
-    Returns (series, group, start): window w is inputs[w] = series[g][s : s+T]
-    with targets[w] one step later, for g = group[w] and s = start[w]. A
-    window that is not exactly such a slice (hand-built windows, two assets
-    sharing an id) gets group len(series), which has no series. Positions no
-    window covers stay zero.
+    Window w is days[start[w] : start[w] + T], its targets one day later,
+    and group[w] numbers its asset's series in the set's order.
     """
-    n, T = inputs.shape
-    group = np.full(n, -1)
-    start = np.zeros(n, dtype=np.int64)
-    by_asset: dict[str, list[int]] = {}
-    for w, (asset, _) in enumerate(origins):
-        by_asset.setdefault(asset, []).append(w)
-    series: list[np.ndarray] = []
-    for members in by_asset.values():
-        members = np.array(members)
-        s = np.array([origins[w][1] for w in members], dtype=np.int64)
-        s -= s.min()
-        # a series longer than the windows laid end to end means they barely
-        # overlap, so a series pass would not pay (and hand-built origins
-        # could ask for any length)
-        if s.max() + T + 1 > len(members) * (T + 1):
-            continue
-        # one position of every window at a time, so no (k, T) temporaries
-        S = np.zeros(s.max() + T + 1)
-        for t in range(T):
-            S[s + t] = inputs[members, t]
-        S[s + T] = targets[members, -1]
-        # a series pass also runs over days outside the batch's windows, at
-        # zero weight; a non-finite value there would still reach the gradient
-        if not np.all(np.isfinite(S)):
-            continue
-        exact = np.ones(members.size, dtype=bool)
-        for t in range(T):
-            exact &= (S[s + t] == inputs[members, t]) & (S[s + t + 1] == targets[members, t])
-        group[members[exact]] = len(series)
-        start[members] = s
-        series.append(S)
-    group[group < 0] = len(series)
-    return series, group, start
+    number = {asset: g for g, asset in enumerate(windows.series)}
+    offsets = np.cumsum([0, *(len(values) for values in windows.series.values())])
+    group = np.array([number[asset] for asset, _ in windows.origins], dtype=np.intp)
+    start = offsets[group] + np.array([s for _, s in windows.origins], dtype=np.int64)
+    return np.concatenate([*windows.series.values()]), group, start
 
 
-def _series_layout(windows: WindowSet, inputs: np.ndarray, targets: np.ndarray):
-    # _rebuild_series of a window set, kept on the (frozen) set after its first
-    # training: a run trains each asset's windows once per quantile level
-    layout = windows.__dict__.get("_series_layout")
-    if layout is None:
-        layout = _rebuild_series(windows.origins, inputs, targets)
-        object.__setattr__(windows, "_series_layout", layout)
-    return layout
-
-
-def _step_blocks(idx, inputs, targets, series, group, start, R, cols):
+def _step_blocks(idx, days, group, start, T, R, cols):
     """The kernel blocks of one training step over the windows idx.
 
     Per asset, the batch's windows either run whole (k*T columns) or are
@@ -441,26 +400,23 @@ def _step_blocks(idx, inputs, targets, series, group, start, R, cols):
     most R-1 positions always run whole. Passes longer than `cols` are cut
     into chunks overlapping by R-1 columns, the overlap weighted zero.
     """
-    T = inputs.shape[1]
-    G = len(series)
     g, s = group[idx], start[idx]
-    k = np.bincount(g, minlength=G + 1)
-    lo = np.full(G + 1, s.max())
+    k = np.bincount(g)
+    lo = np.full(k.size, s.max())
     np.minimum.at(lo, g, s)
-    hi = np.zeros(G + 1, dtype=np.int64)
+    hi = np.zeros(k.size, dtype=np.int64)
     np.maximum.at(hi, g, s + T)
     split = (k > 0) & (k * (R - 1) + hi - lo < k * T)
-    split[G] = False
     on = split[g]
+    rows = np.lib.stride_tricks.sliding_window_view(days, T)
     blocks = []
-    whole = idx[~on]
-    if whole.size:
-        blocks.append((inputs[whole], targets[whole], 1.0))
-    if whole.size == idx.size:
+    if not on.all():
+        blocks.append((rows[s[~on]], rows[s[~on] + 1], 1.0))
+    if not on.any():
         return blocks
-    blocks.append((inputs[idx[on], : R - 1], targets[idx[on], : R - 1], 1.0))
+    blocks.append((rows[s[on], : R - 1], rows[s[on] + 1, : R - 1], 1.0))
     for a in np.flatnonzero(split):
-        days, length = series[a][lo[a] :], hi[a] - lo[a]
+        part, length = days[lo[a] :], hi[a] - lo[a]
         first = s[g == a] - lo[a]
         cover = np.bincount(first + R - 1, minlength=length + 1) - np.bincount(
             first + T, minlength=length + 1
@@ -471,7 +427,7 @@ def _step_blocks(idx, inputs, targets, series, group, start, R, cols):
             end = min(begin + cols, length)
             w = weight[None, begin:end].copy()
             w[:, : R - 1] = 0.0
-            blocks.append((days[None, begin:end], days[None, begin + 1 : end + 1], w))
+            blocks.append((part[None, begin:end], part[None, begin + 1 : end + 1], w))
     return blocks
 
 
@@ -572,12 +528,10 @@ def train(
     Initialization and epoch shuffling both draw from one seeded generator.
     Batches of cfg.batch_size are cut from a fresh permutation each epoch and
     a final partial batch is used as-is. Each step minimizes the batch-mean
-    pinball loss; where windows are slices of one asset's series, part of it
-    is computed by one pass over that series (see _step_blocks).
+    pinball loss; where a batch's windows overlap enough, part of it is
+    computed by one pass over their asset's series (see _step_blocks).
     """
-    inputs = np.ascontiguousarray(windows.inputs, dtype=float)
-    targets = np.ascontiguousarray(windows.targets, dtype=float)
-    n, T = inputs.shape
+    n, T = len(windows), windows.window
     if n == 0:
         raise InsufficientDataError("cannot train on an empty window set")
     rng = np.random.default_rng(cfg.seed)
@@ -588,14 +542,12 @@ def train(
     params = model_parameters(model)
     state = AdadeltaState.for_params(params, cfg.rho, cfg.epsilon)
     ws = _Workspace(model, max(T, SUB_BATCH_COLUMNS))
-    series, group, start = _series_layout(windows, inputs, targets)
+    days, group, start = _concat_series(windows)
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
-            blocks = _step_blocks(
-                idx, inputs, targets, series, group, start, model.receptive_field, ws.cols
-            )
+            blocks = _step_blocks(idx, days, group, start, T, model.receptive_field, ws.cols)
             _, grads = _loss_and_grads(model, blocks, idx.size * T, ws)
             adadelta_step(params, grads, state)
     return model

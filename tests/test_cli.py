@@ -157,6 +157,26 @@ class TestRun:
         assert main(["run", "--config", str(cfg), flag, value]) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, config_line, named",
+        [
+            (["--theta", ","], None, "thetas"),
+            ([], "thetas = ,", "thetas"),
+            (["--theta", "0.05,0.01,0.05"], None, "thetas"),
+            (["--methods", "constant,linear_qr,constant"], None, "methods"),
+        ],
+        ids=["empty-theta-flag", "empty-theta-config", "repeated-theta", "repeated-method"],
+    )
+    def test_empty_or_repeated_list_rejected(self, tmp_path, capsys, flags, config_line, named):
+        manifest = write_panel(tmp_path, n_assets=1)
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path, manifest, out_dir)
+        if config_line:
+            cfg.write_text(cfg.read_text().replace("thetas = 0.05", config_line))
+        assert main(["run", "--config", str(cfg), *flags]) == 2
+        assert named in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[experiment]\nbogus = 1\n")
@@ -252,6 +272,12 @@ class TestBacktest:
         assert main(args) == 0
         assert capsys.readouterr().out == plain
 
+    @pytest.mark.parametrize("lags", ["-1", "-5"])
+    def test_negative_hit_lags_exits_2(self, tmp_path, capsys, lags):
+        assert main(self.write_var(tmp_path, "0.02") + ["--hit-lags", lags]) == 2
+        captured = capsys.readouterr()
+        assert "hit_lags" in captured.err and "dq_stat" not in captured.out
+
     @pytest.mark.parametrize("bad", ["--prices", "--var"])
     def test_file_not_utf_8_exits_2(self, tmp_path, capsys, bad):
         args = self.write_var(tmp_path, "0.02")
@@ -301,6 +327,19 @@ class TestReport:
         assert main(["report", "--results-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "results_qcnn_theta0.05.csv" in err and "line " in err
+
+    @pytest.mark.parametrize("kind", ["not-utf-8", "directory", "oversized-field"])
+    def test_unreadable_results_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "results_qcnn_theta0.05.csv"
+        header = b"asset_id,exceedance_rate,dq_stat,p_value,mean_var\n"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(header + b"a,0.05,1.0,0.5,0.02\xe9\n")
+        else:
+            path.write_bytes(header + b"a,0.05,1.0,0.5," + b"1" * 140_000 + b"\n")
+        assert main(["report", "--results-dir", str(tmp_path)]) == 2
+        assert "results_qcnn_theta0.05.csv" in capsys.readouterr().err
 
     def test_header_only_results_missing_column_exit_2(self, tmp_path, capsys):
         (tmp_path / "results_qcnn_theta0.05.csv").write_text("asset_id,exceedance_rate,mean_var\n")

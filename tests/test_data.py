@@ -8,6 +8,7 @@ from qvar.data import (
     PriceSeries,
     ReturnSeries,
     Scaler,
+    WindowSet,
     apply_scaler,
     fit_scaler,
     invert_scaler,
@@ -280,6 +281,26 @@ class TestWindows:
         pooled = pool_windows([wa, wb])
         assert len(pooled) == len(wa) + len(wb)
         assert pooled.origins[: len(wa)] == wa.origins
+
+    def test_pool_rejects_repeated_asset_id(self):
+        rng = np.random.default_rng(5)
+        a = make_series(rng.normal(size=200), split=140, asset_id="a")
+        again = make_series(rng.normal(size=200), split=140, asset_id="a")
+        with pytest.raises(DomainError, match="'a'"):
+            pool_windows([make_windows(s, fit_scaler(s), window=32) for s in (a, again)])
+
+    @pytest.mark.parametrize(
+        "origin", [("t", -1), ("t", 4), ("u", 0)], ids=["before-start", "past-end", "unknown-asset"]
+    )
+    def test_origin_outside_its_series_rejected(self, origin):
+        # 8 days hold windows of 4 starting at 0..3: the last one's targets end on day 7
+        assert len(WindowSet(series={"t": np.zeros(8)}, origins=(("t", 3),), window=4)) == 1
+        with pytest.raises(DomainError):
+            WindowSet(series={"t": np.zeros(8)}, origins=(origin,), window=4)
+
+    def test_non_finite_series_rejected(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            WindowSet(series={"t": np.array([0.0, np.inf, 0.0])}, origins=(("t", 0),), window=1)
 
 
 def test_prices_returns_round_trip():

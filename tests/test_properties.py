@@ -1,7 +1,7 @@
 """Property tests: every forecaster keeps the path contract under random
 truncation, the fitters turn hostile inputs into qvar errors only, price
-files load back bit-exact in date order, and a run survives broken price
-files."""
+files load back bit-exact in date order, a run survives broken price
+files, and broken VaR, results and config files end in no traceback."""
 
 import datetime as dt
 import json
@@ -249,3 +249,92 @@ def test_run_skips_broken_price_files(tmp_path_factory, capfd, broken):
             p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"
         }
     assert written["1"] == written["2"]
+
+
+CLI_FILE_KINDS = (
+    "not_utf_8", "nul", "byte_order_mark", "short_row", "missing_column", "bad_value",
+    "oversized_field", "directory",
+)
+
+
+@st.composite
+def broken_cli_files(draw):
+    """A subcommand and the bytes of the file it reads, with one defect; None for a directory.
+
+    `backtest` reads a VaR CSV, `report` a results CSV and `run` a config
+    file, whose `key = value` lines stand in for rows.
+    """
+    command = draw(st.sampled_from(("backtest", "report", "run")))
+    kind = draw(st.sampled_from(CLI_FILE_KINDS))
+    if command == "backtest":
+        header = [b"day", b"var"]
+        rows = [[str(i).encode(), b"0.02"] for i in range(30)]
+    elif command == "report":
+        header = [b"asset_id", b"exceedance_rate", b"dq_stat", b"p_value", b"mean_var"]
+        rows = [[f"a{i}".encode(), b"0.05", b"1.5", b"0.4", b"0.02"] for i in range(3)]
+    else:
+        header = [b"[experiment]"]
+        rows = [[b"manifest", b"assets.txt"], [b"output_dir", b"out"], [b"thetas", b"0.05"],
+                [b"seed", b"3"], [b"workers", b"1"]]
+    if kind == "directory":
+        return command, None
+    at = draw(st.integers(0, len(rows) - 1))
+    col = draw(st.integers(0, len(rows[at]) - 1))
+    field = rows[at][col]
+    if kind == "not_utf_8":
+        rows[at][col] += draw(st.sampled_from((b"\xff", b"\xc3\x28", b"\x80", b"\xe9")))
+    elif kind == "nul":
+        cut = draw(st.integers(0, len(field)))
+        rows[at][col] = field[:cut] + b"\x00" + field[cut:]
+    elif kind == "byte_order_mark":
+        rows[at][col] = b"\xef\xbb\xbf" + field
+    elif kind == "short_row":
+        rows[at] = rows[at][:-1]
+    elif kind == "missing_column":
+        if command == "run":
+            del rows[at]
+        else:
+            del header[draw(st.integers(0, len(header) - 1))]
+    elif kind == "bad_value":
+        rows[at][col] = draw(st.sampled_from((b"abc", b"", b"nan", b"inf", b"-inf", b"-1", b"1e")))
+    else:
+        rows[at][col] = b"1" * draw(st.integers(131_073, 140_000))
+    sep = b" = " if command == "run" else b","
+    lines = [b",".join(header)] + [sep.join(r) for r in rows]
+    return command, b"\n".join(lines) + b"\n"
+
+
+def _config(manifest=b"assets.txt", output_dir=b"out"):
+    return b"[experiment]\nmanifest = " + manifest + b"\noutput_dir = " + output_dir + b"\n"
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=broken_cli_files())
+@example(case=("run", _config(manifest=b"1" * 131_073)))
+@example(case=("run", _config(output_dir=b"1" * 131_073)))
+@example(case=("run", _config(output_dir=b"o\x00ut")))
+def test_broken_cli_files_exit_cleanly(tmp_path_factory, capfd, monkeypatch, case):
+    # a broken VaR, results or config file is a data error (or harmless),
+    # never a usage error or a traceback
+    command, content = case
+    directory = tmp_path_factory.mktemp("cli")
+    for i in range(2):
+        series, _ = simulate(SimSpec(process=IID_NORMAL, length=300, seed=i), asset_id=f"good{i}")
+        write_price_csv(series, directory / f"good{i}.csv")
+    (directory / "assets.txt").write_text("good0.csv\ngood1.csv\n")
+    name = {"backtest": "var.csv", "report": "results_qcnn_theta0.05.csv", "run": "run.cfg"}[command]
+    path = directory / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    argv = {
+        "backtest": ["backtest", "--prices", "good0.csv", "--var", name, "--theta", "0.05"],
+        "report": ["report", "--results-dir", "."],
+        # without the flag a run would train networks: the config names no methods
+        "run": ["run", "--config", name, "--methods", "constant"],
+    }[command]
+    # relative paths, so a config whose output_dir a defect changed still writes inside
+    monkeypatch.chdir(directory)
+    assert main(argv) in (0, 2, 3)
+    assert "Traceback" not in capfd.readouterr().err

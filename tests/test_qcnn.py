@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qvar.qcnn
 from qvar.data import ReturnSeries, Scaler, WindowSet, fit_scaler, make_windows, pool_windows
 from qvar.errors import DomainError, InsufficientDataError, ShapeError
 from qvar.qcnn import (
@@ -30,7 +28,7 @@ from qvar.qcnn import (
     save_model,
     train,
 )
-from qvar.qcnn import _loss_and_grads, _rebuild_series, _step_blocks, _Workspace
+from qvar.qcnn import _concat_series, _loss_and_grads, _step_blocks, _Workspace
 
 
 def small_model(rng, theta=0.2, channels=2, depth=2, kernel=2):
@@ -287,13 +285,13 @@ class TestTrainingKernel:
         assert loss == pytest.approx(pinball_loss(Y, q, theta), rel=1e-12)
 
 
-def pooled_windows(assets, length, window, stride, seed, shared_id=False):
+def pooled_windows(assets, length, window, stride, seed):
     """Windows of `assets` seeded random-return series, pooled in asset order."""
     rng = np.random.default_rng(seed)
     sets = []
     for a in range(assets):
         returns = 0.01 * rng.standard_normal(length)
-        series = ReturnSeries("a" if shared_id else f"a{a}", returns, int(0.7 * length))
+        series = ReturnSeries(f"a{a}", returns, int(0.7 * length))
         sets.append(make_windows(series, fit_scaler(series), window=window, stride=stride))
     return pool_windows(sets)
 
@@ -310,26 +308,19 @@ class TestTwoPassStep:
         extra=st.integers(0, 1500),
         batch=st.integers(1, 160),
         cols=st.one_of(st.just(SUB_BATCH_COLUMNS), st.integers(64, 600)),  # small: many chunks
-        kind=st.sampled_from(("slices", "perturbed", "shared_id")),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(assets=1, window=128, stride=1, extra=3000, kind="slices", seed=1, **FULL_BATCH)
-    @example(assets=2, window=128, stride=1, extra=1500, kind="slices", seed=2, **FULL_BATCH)
-    @example(assets=20, window=128, stride=1, extra=1500, kind="slices", seed=3, **FULL_BATCH)
-    @example(assets=1, window=128, stride=1, extra=400, kind="perturbed", seed=5, **FULL_BATCH)
-    @example(assets=2, window=100, stride=2, extra=600, batch=64, cols=200, kind="shared_id", seed=4)
-    def test_matches_per_window_kernel(self, assets, window, stride, extra, batch, cols, kind, seed):
+    @example(assets=1, window=128, stride=1, extra=3000, seed=1, **FULL_BATCH)
+    @example(assets=2, window=128, stride=1, extra=1500, seed=2, **FULL_BATCH)
+    @example(assets=20, window=128, stride=1, extra=1500, seed=3, **FULL_BATCH)
+    @example(assets=2, window=100, stride=2, extra=600, batch=64, cols=200, seed=4)
+    def test_matches_per_window_kernel(self, assets, window, stride, extra, batch, cols, seed):
         # the two-pass step must give the per-window kernel's batch-mean loss
         # and gradients, and take the split exactly where it costs fewer columns
         rng = np.random.default_rng(seed)
         length = int((window + 2) / 0.7) + 2 + extra // assets
-        windows = pooled_windows(assets, length, window, stride, seed, shared_id=kind == "shared_id")
-        inputs, targets = windows.inputs.copy(), windows.targets.copy()
-        if kind == "perturbed":
-            # a hand-built set: some windows are no longer slices of any series
-            bad = rng.random(len(inputs)) < 0.3
-            inputs[bad] += rng.standard_normal(inputs[bad].shape)
-            windows = WindowSet(inputs=inputs, targets=targets, origins=windows.origins)
+        windows = pooled_windows(assets, length, window, stride, seed)
+        inputs, targets = windows.inputs, windows.targets
         model = build_model(0.05, rng=rng)
         for biases in model_parameters(model)[1::2]:
             biases[:] = rng.uniform(-0.1, 0.1, biases.shape)
@@ -338,8 +329,7 @@ class TestTwoPassStep:
         n = idx.size * window
         ws = _Workspace(model, max(window, cols))
 
-        rebuilt = _rebuild_series(windows.origins, inputs, targets)
-        blocks = _step_blocks(idx, inputs, targets, *rebuilt, R, ws.cols)
+        blocks = _step_blocks(idx, *_concat_series(windows), window, R, ws.cols)
         loss, grads = _loss_and_grads(model, blocks, n, ws)
         ref_loss, ref_grads = _loss_and_grads(model, [(inputs[idx], targets[idx], 1.0)], n, ws)
         for got, expected in zip(grads, ref_grads):
@@ -347,29 +337,27 @@ class TestTwoPassStep:
             assert np.max(np.abs(got - expected)) <= 1e-12 * scale
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-300)
 
-        rebuilt = _rebuild_series(windows.origins, inputs, targets)
-        again = _step_blocks(idx, inputs, targets, *rebuilt, R, ws.cols)
+        again = _step_blocks(idx, *_concat_series(windows), window, R, ws.cols)
         assert len(again) == len(blocks)
         for block, same in zip(blocks, again):
             for a, b in zip(block, same):
                 assert np.array_equal(a, b)
 
-        if kind == "slices":
-            # an asset's windows run whole unless k*(R-1) + span + R-1 < k*T columns
-            by_asset = {}
-            for w in idx:
-                by_asset.setdefault(windows.origins[w][0], []).append(windows.origins[w][1])
-            split = {
-                a: len(s) * (R - 1) + max(s) - min(s) + window < len(s) * window
-                for a, s in by_asset.items()
-            }
-            whole = [w for w in idx if not split[windows.origins[w][0]]]
-            if window <= R - 1 or not any(split.values()):
-                assert len(blocks) == 1
-            if whole:
-                assert np.array_equal(blocks[0][0], inputs[whole])
-            else:
-                assert blocks[0][0].shape == (idx.size, R - 1)
+        # an asset's windows run whole unless k*(R-1) + span + R-1 < k*T columns
+        by_asset = {}
+        for w in idx:
+            by_asset.setdefault(windows.origins[w][0], []).append(windows.origins[w][1])
+        split = {
+            a: len(s) * (R - 1) + max(s) - min(s) + window < len(s) * window
+            for a, s in by_asset.items()
+        }
+        whole = [w for w in idx if not split[windows.origins[w][0]]]
+        if window <= R - 1 or not any(split.values()):
+            assert len(blocks) == 1
+        if whole:
+            assert np.array_equal(blocks[0][0], inputs[whole])
+        else:
+            assert blocks[0][0].shape == (idx.size, R - 1)
 
 
 class TestAdadelta:
@@ -414,19 +402,21 @@ class TestAdadelta:
             adadelta_step(params, [np.zeros(2)], state)
 
 
-def make_window_set(inputs, targets, asset="a"):
-    inputs = np.asarray(inputs, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+def make_window_set(series):
+    """One window per row of `series`, each row its own asset's series: the
+    window is the row's first len-1 days, its targets the last len-1."""
+    series = np.asarray(series, dtype=float)
     return WindowSet(
-        inputs=inputs, targets=targets, origins=tuple((asset, i) for i in range(len(inputs)))
+        series={f"a{i}": row for i, row in enumerate(series)},
+        origins=tuple((f"a{i}", 0) for i in range(len(series))),
+        window=series.shape[1] - 1,
     )
 
 
 class TestTrain:
     def test_single_window_single_epoch_is_one_step(self):
         rng = np.random.default_rng(20)
-        window = rng.standard_normal(16)
-        ws = make_window_set(window[None, :], rng.standard_normal((1, 16)))
+        ws = make_window_set(rng.standard_normal((1, 17)))
         cfg = TrainConfig(epochs=1, batch_size=128, seed=99)
         trained = train(ws, 0.1, cfg)
 
@@ -443,7 +433,7 @@ class TestTrain:
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(21)
-        ws = make_window_set(rng.standard_normal((12, 20)), rng.standard_normal((12, 20)))
+        ws = make_window_set(rng.standard_normal((12, 21)))
         cfg = TrainConfig(epochs=3, batch_size=5, seed=7)
         a = train(ws, 0.05, cfg)
         b = train(ws, 0.05, cfg)
@@ -452,9 +442,10 @@ class TestTrain:
 
     def test_constant_target_convergence(self):
         rng = np.random.default_rng(22)
-        inputs = rng.standard_normal((8, 32))
-        targets = np.full((8, 32), 0.7)
-        ws = make_window_set(inputs, targets)
+        series = np.full((8, 33), 0.7)
+        series[:, 0] = rng.standard_normal(8)
+        ws = make_window_set(series)
+        inputs, targets = ws.inputs, ws.targets
         cfg = TrainConfig(epochs=128, batch_size=128, seed=5)
         init = build_model(0.5, seed=5)
         initial_loss = pinball_loss(targets, np.vstack([forward(init, x)[0] for x in inputs]), 0.5)
@@ -466,41 +457,24 @@ class TestTrain:
         assert abs(np.median(preds[8:]) - 0.7) < 0.2
 
     def test_empty_window_set(self):
-        ws = make_window_set(np.empty((0, 16)), np.empty((0, 16)))
+        ws = make_window_set(np.empty((0, 17)))
         with pytest.raises(InsufficientDataError):
             train(ws, 0.1, TrainConfig(epochs=1))
 
     def test_final_loss_not_above_initial(self):
         rng = np.random.default_rng(23)
-        inputs = rng.standard_normal((6, 24))
-        targets = inputs * 0.4 + 0.1
-        ws = make_window_set(inputs, targets)
+        series = np.empty((6, 25))
+        series[:, 0] = rng.standard_normal(6)
+        for t in range(24):
+            series[:, t + 1] = series[:, t] * 0.4 + 0.1
+        ws = make_window_set(series)
+        inputs, targets = ws.inputs, ws.targets
         cfg = TrainConfig(epochs=16, batch_size=4, seed=3)
         init = build_model(0.25, seed=3)
         loss0 = pinball_loss(targets, np.vstack([forward(init, x)[0] for x in inputs]), 0.25)
         model = train(ws, 0.25, cfg)
         loss1 = pinball_loss(targets, np.vstack([forward(model, x)[0] for x in inputs]), 0.25)
         assert loss1 <= loss0
-
-    def test_series_rebuilt_once_per_window_set(self, monkeypatch):
-        # a run trains one window set at every level; the rebuild of its
-        # series runs once and the trained bits match fresh window sets'
-        r = np.random.default_rng(24).standard_normal(300)
-        series = ReturnSeries(asset_id="a", returns=r, split_index=240)
-        windows = make_windows(series, fit_scaler(series), window=96)
-        cfg = TrainConfig(epochs=2, batch_size=64, seed=8)
-        thetas = (0.05, 0.01)
-        fresh = [train(dataclasses.replace(windows), theta, cfg) for theta in thetas]
-        calls = []
-        real = qvar.qcnn._rebuild_series
-        monkeypatch.setattr(
-            qvar.qcnn, "_rebuild_series", lambda *args: calls.append(1) or real(*args)
-        )
-        reused = [train(windows, theta, cfg) for theta in thetas]
-        assert len(calls) == 1
-        for a, b in zip(fresh, reused):
-            for pa, pb in zip(model_parameters(a), model_parameters(b)):
-                assert np.array_equal(pa, pb)
 
 
 class TestPredict:
@@ -556,10 +530,7 @@ class TestCheckpoint:
     def test_round_trip_and_byte_stability(self, tmp_path):
         model = build_model(0.01, seed=31)
         train(
-            make_window_set(
-                np.random.default_rng(1).standard_normal((4, 16)),
-                np.random.default_rng(2).standard_normal((4, 16)),
-            ),
+            make_window_set(np.random.default_rng(1).standard_normal((4, 17))),
             0.01,
             TrainConfig(epochs=2, batch_size=2, seed=31),
             model=model,

@@ -7,7 +7,6 @@ equivalent; flags override the config file, which overrides defaults.
 
 import argparse
 import configparser
-import csv
 import logging
 import sys
 from collections import namedtuple
@@ -17,7 +16,15 @@ import numpy as np
 
 from .backtest import DEFAULT_HIT_LAGS, score_forecast
 from .baselines import GarchParams
-from .data import DEFAULT_WINDOW, load_prices, log_returns
+from .data import (
+    DEFAULT_WINDOW,
+    load_prices,
+    log_returns,
+    open_input,
+    parse_finite,
+    read_csv,
+    reading,
+)
 from .errors import FitError, ParseError, QvarError
 from .harness import (
     ALL_METHODS,
@@ -136,23 +143,24 @@ CONFIG_DEFAULTS = {
 
 
 def _load_config_file(path: Path) -> dict:
-    if not path.exists():
-        raise QvarError(f"config file not found: {path}")
-    ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    with open_input(path, "config file") as fh:
+        text = fh.read()
+    # without interpolation a '%' in a value is a plain character
+    ini = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        read = ini.read(path, encoding="utf-8-sig")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise QvarError(f"{path}: {exc}") from exc
-    # read() passes over a file it cannot open, such as a directory
-    if not read:
-        raise QvarError(f"{path}: cannot read config file")
+        ini.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
     out: dict = {"experiment": {}, "train": {}}
     for section in ini.sections():
         if section not in out:
-            raise QvarError(f"{path}: unknown config section [{section}]")
+            raise ParseError(f"{path}: unknown config section [{section}]")
         for key, value in ini.items(section):
             if key not in CONFIG_DEFAULTS[section]:
-                raise QvarError(f"{path}: unknown key {key!r} in [{section}]")
+                raise ParseError(f"{path}: unknown key {key!r} in [{section}]")
+            # an indented line continues the value above it
+            if "\n" in value:
+                raise ParseError(f"{path}: value of {key!r} in [{section}] spans lines")
             out[section][key] = value
     return out
 
@@ -260,25 +268,9 @@ def _cmd_run(args) -> int:
 
 
 def _read_var_csv(path: Path) -> np.ndarray:
-    if not path.exists():
-        raise QvarError(f"VaR file not found: {path}")
-    try:
-        # utf-8-sig drops the byte-order mark spreadsheets write before the header
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "var" not in [f.strip().lower() for f in reader.fieldnames]:
-                raise QvarError(f"{path}: expected a CSV with a 'var' column")
-            key = next(f for f in reader.fieldnames if f.strip().lower() == "var")
-            values = []
-            for row in reader:
-                try:
-                    values.append(float(row[key]))
-                except (TypeError, ValueError):
-                    raise ParseError(f"{path}: invalid var {row[key]!r}", reader.line_num) from None
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ParseError(f"{path}: cannot read VaR file: {exc}") from None
+    (values,) = read_csv(path, "VaR file", {"var": parse_finite})
     if not values:
-        raise QvarError(f"{path}: no VaR rows")
+        raise ParseError(f"{path}: no VaR rows")
     return np.array(values)
 
 
@@ -311,34 +303,20 @@ def _method_order(method: str):
 
 def _cmd_report(args) -> int:
     results_dir = Path(args.results_dir)
-    if not results_dir.is_dir():
-        raise QvarError(f"results directory not found: {results_dir}")
     groups: dict[str, dict[str, list[_ResultRow]]] = {}
-    for path in sorted(results_dir.glob("results_*_theta*.csv")):
+    with reading(results_dir, "results directory"):
+        paths = sorted(p for p in results_dir.iterdir() if p.match("results_*_theta*.csv"))
+    for path in paths:
         stem = path.stem[len("results_") :]
         method, _, tag = stem.rpartition("_theta")
-        rows = []
         try:
-            with open(path, newline="", encoding="utf-8-sig") as fh:
-                reader = csv.DictReader(fh)
-                # checked on the header, so a file with no rows cannot drop a method unnoticed
-                header = reader.fieldnames or ()
-                missing = [col for col in _ResultRow._fields if col not in header]
-                if missing:
-                    raise ParseError(f"{path}: header lacks {', '.join(missing)}", 1)
-                for r in reader:
-                    try:
-                        rows.append(_ResultRow(*(float(r[col]) for col in _ResultRow._fields)))
-                    except (TypeError, ValueError):
-                        raise ParseError(
-                            f"{path}: expected numeric {', '.join(_ResultRow._fields)}",
-                            reader.line_num,
-                        ) from None
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
-            raise ParseError(f"{path}: cannot read results file: {exc}") from None
-        groups.setdefault(tag, {})[method] = rows
+            parse_finite(tag)
+        except ValueError as exc:
+            raise ParseError(f"{path}: quantile level in the name: {exc}") from None
+        columns = read_csv(path, "results file", dict.fromkeys(_ResultRow._fields, parse_finite))
+        groups.setdefault(tag, {})[method] = [_ResultRow(*values) for values in zip(*columns)]
     if not groups:
-        raise QvarError(f"no results_*_theta*.csv files in {results_dir}")
+        raise ParseError(f"no results_*_theta*.csv files in {results_dir}")
     for tag in sorted(groups, key=float):
         per_method = dict(sorted(groups[tag].items(), key=lambda kv: _method_order(kv[0])))
         summaries = aggregate(per_method)

@@ -1,6 +1,7 @@
-"""Price ingestion, log returns, train/test split, scaling and windowing.
+"""Input files, price ingestion, log returns, train/test split, scaling and windowing.
 
-Input files are one CSV per asset with a header row and `date` (ISO-8601)
+Every input file is opened by `open_input` and every CSV read by `read_csv`.
+Price files are one CSV per asset with a header row and `date` (ISO-8601)
 and `close` (decimal) columns. A manifest file lists asset CSV paths, one
 per line. Each series is handled independently; there is no calendar
 alignment across assets.
@@ -11,8 +12,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, TextIO
 
 import numpy as np
 
@@ -38,7 +42,8 @@ class PriceSeries:
         if len(closes) < 2:
             raise InsufficientDataError(f"{self.asset_id}: need at least 2 prices, got {len(closes)}")
         if not np.all(closes > 0):
-            raise DomainError(f"{self.asset_id}: prices must be strictly positive")
+            at = int(np.argmin(closes > 0))
+            raise DomainError(f"{self.asset_id}: non-positive close {closes[at]} on {self.dates[at]}")
         for a, b in zip(self.dates, self.dates[1:]):
             if a >= b:
                 raise DomainError(f"{self.asset_id}: dates not strictly increasing at {b}")
@@ -135,71 +140,88 @@ class WindowSet:
         return self._slices(1)
 
 
-def _parse_date(text: str, line: int) -> dt.date:
+@contextmanager
+def reading(path: Path, what: str) -> Iterator[None]:
+    """Make any failure to read `path` inside the block a ParseError naming it."""
     try:
-        return dt.date.fromisoformat(text.strip())
-    except ValueError:
-        raise ParseError(f"invalid ISO-8601 date {text!r}", line) from None
+        yield
+    except FileNotFoundError:
+        raise ParseError(f"{what} not found: {path}") from None
+    except (OSError, ValueError, csv.Error) as exc:
+        # a directory, a name the OS rejects, undecodable bytes, an oversized CSV field
+        raise ParseError(f"{path}: cannot read {what}: {exc}") from None
+
+
+@contextmanager
+def open_input(path: Path, what: str) -> Iterator[TextIO]:
+    """Open an input file as text, mapping read failures as `reading` does.
+
+    utf-8-sig drops the byte-order mark spreadsheets write before the
+    header. There is no exists() pre-check: on a name too long for the OS
+    that check itself raises OSError.
+    """
+    with reading(path, what), open(path, newline="", encoding="utf-8-sig") as fh:
+        yield fh
+
+
+def parse_finite(text: str) -> float:
+    """The one rule for a numeric input field: a decimal that is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_date(text: str) -> dt.date:
+    return dt.date.fromisoformat(text.strip())
+
+
+def read_csv(path: Path, what: str, columns: dict[str, Callable[[str], Any]]) -> list[list]:
+    """Read a CSV input's `columns`, each field parsed by its column's function.
+
+    Returns one list of values per column, in row order. Header names match
+    case-insensitively and extra columns are ignored. Rows whose fields are
+    all blank are skipped. A missing column, a short row or a field its
+    parser rejects (ValueError) is a ParseError naming the file, with the
+    line number.
+    """
+    with open_input(path, what) as fh:
+        reader = csv.reader(fh)
+        header = [name.strip().lower() for name in next(reader, ())]
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise ParseError(f"{path}: header lacks {', '.join(missing)}", 1)
+        fields = [(header.index(name), parse, []) for name, parse in columns.items()]
+        width = max(i for i, _, _ in fields) + 1
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            if len(row) < width:
+                raise ParseError(f"{path}: expected at least {width} columns", reader.line_num)
+            try:
+                for i, parse, values in fields:
+                    values.append(parse(row[i]))
+            except ValueError as exc:
+                raise ParseError(f"{path}: {exc}", reader.line_num) from None
+    return [values for _, _, values in fields]
 
 
 def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
     """Read one asset's price CSV and return it sorted by date.
 
-    The header must contain `date` and `close` columns (case-insensitive,
-    extra columns ignored). Malformed rows raise ParseError with the line
-    number; non-positive prices and duplicate dates are rejected.
+    The header must contain `date` and `close` columns. Malformed rows
+    raise ParseError with the line number; non-positive prices and
+    duplicate dates are rejected.
     """
     path = Path(path)
-    if asset_id is None:
-        asset_id = path.stem
-    if not path.exists():
-        raise ParseError(f"price file not found: {path}")
-
-    dates: list[dt.date] = []
-    closes: list[float] = []
-    try:
-        # utf-8-sig drops the byte-order mark spreadsheets write before the header
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file", 1) from None
-            lowered = [h.strip().lower() for h in header]
-            try:
-                date_col = lowered.index("date")
-                close_col = lowered.index("close")
-            except ValueError:
-                raise ParseError(f"{path}: header must contain 'date' and 'close' columns", 1) from None
-            for row in reader:
-                line = reader.line_num
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) <= max(date_col, close_col):
-                    raise ParseError(f"{path}: expected at least {max(date_col, close_col) + 1} columns", line)
-                date = _parse_date(row[date_col], line)
-                try:
-                    close = float(row[close_col])
-                except ValueError:
-                    raise ParseError(f"{path}: invalid close {row[close_col]!r}", line) from None
-                if not math.isfinite(close) or close <= 0:
-                    raise DomainError(f"{path} line {line}: close must be a positive finite number, got {close}")
-                dates.append(date)
-                closes.append(close)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        # a directory, bytes that are not UTF-8, an oversized field: one
-        # unreadable file must stay that asset's problem
-        raise ParseError(f"{path}: cannot read price file: {exc}") from None
-
-    seen: set[dt.date] = set()
-    for d in dates:
-        if d in seen:
-            raise ParseError(f"{path}: duplicate date {d}")
-        seen.add(d)
+    dates, closes = read_csv(path, "price file", {"date": _parse_date, "close": parse_finite})
     ordinals = np.fromiter((d.toordinal() for d in dates), dtype=np.int64, count=len(dates))
     order = np.argsort(ordinals, kind="stable")
+    repeated = np.flatnonzero(np.diff(ordinals[order]) == 0)
+    if repeated.size:
+        raise ParseError(f"{path}: duplicate date {dates[order[repeated[0]]]}")
     return PriceSeries(
-        asset_id=asset_id,
+        asset_id=path.stem if asset_id is None else asset_id,
         dates=tuple(dates[i] for i in order),
         closes=np.array(closes, dtype=float)[order],
     )
@@ -208,13 +230,8 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
 def load_manifest(path: str | Path) -> list[Path]:
     """Read a manifest of asset CSV paths, one per line, relative to the manifest."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except FileNotFoundError:
-        raise ParseError(f"manifest not found: {path}") from None
-    except (OSError, ValueError) as exc:
-        # a directory, bytes that are not UTF-8, a name the OS rejects
-        raise ParseError(f"{path}: cannot read manifest: {exc}") from None
+    with open_input(path, "manifest") as fh:
+        text = fh.read()
     out = []
     for raw in text.splitlines():
         line = raw.strip()

@@ -319,8 +319,11 @@ class TestReport:
             "asset,exceedance_rate,p_value,mean_var\na,0.05,0.5,0.02\nb,0.04\n",
             "asset,exceedance_rate,mean_var\na,0.05,0.02\n",
             "asset,exceedance_rate,p_value,mean_var\na,0.05,high,0.02\n",
+            "asset,exceedance_rate,p_value,mean_var\na,0.05,0.5,0.02\nb,inf,0.5,0.02\n",
+            "asset,exceedance_rate,p_value,mean_var\na,0.05,nan,0.02\n",
+            "asset,exceedance_rate,p_value,mean_var\na,0.05,0.5,-inf\n",
         ],
-        ids=["short-row", "missing-column", "non-numeric"],
+        ids=["short-row", "missing-column", "non-numeric", "inf-rate", "nan-p-value", "inf-mean-var"],
     )
     def test_malformed_results_exit_2(self, tmp_path, capsys, content):
         (tmp_path / "results_qcnn_theta0.05.csv").write_text(content)

@@ -1,11 +1,13 @@
 """Property tests: every forecaster keeps the path contract under random
 truncation, the fitters turn hostile inputs into qvar errors only, price
 files load back bit-exact in date order, a run survives broken price
-files, and broken VaR, results and config files end in no traceback."""
+files and gives every (asset, method, level) of a hostile panel one row or
+one skip, and broken VaR, results and config files end in no traceback."""
 
 import datetime as dt
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -25,6 +27,7 @@ from qvar.baselines import (
 from qvar.cli import main
 from qvar.data import ReturnSeries, Scaler, fit_scaler, load_prices, make_windows
 from qvar.errors import QvarError
+from qvar.harness import ALL_METHODS
 from qvar.qcnn import build_model, predict_var, predict_var_series
 from qvar.synthlab import IID_NORMAL, SimSpec, simulate, write_price_csv
 
@@ -218,8 +221,14 @@ def broken_price_files(draw):
     return header + b"\n" + b"\n".join(b",".join(r) for r in rows) + b"\n"
 
 
+# a name longer than any file system takes, so no file can be made for it
+TOO_LONG = "x" * 300
+
+
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(broken=st.lists(broken_price_files(), min_size=1, max_size=3))
+# None: a manifest line naming a file too long for the OS to open
+@example(broken=[None])
 def test_run_skips_broken_price_files(tmp_path_factory, capfd, broken):
     directory = tmp_path_factory.mktemp("panel")
     names = []
@@ -227,9 +236,12 @@ def test_run_skips_broken_price_files(tmp_path_factory, capfd, broken):
         series, _ = simulate(SimSpec(process=IID_NORMAL, length=100, seed=i), asset_id=f"good{i}")
         write_price_csv(series, directory / f"good{i}.csv")
         names.append(f"good{i}.csv")
+    bad_ids = []
     for i, content in enumerate(broken):
-        (directory / f"bad{i}.csv").write_bytes(content)
-        names.insert(1, f"bad{i}.csv")
+        bad_ids.append(f"bad{i}" if content is not None else f"bad{i}{TOO_LONG}")
+        if content is not None:
+            (directory / f"bad{i}.csv").write_bytes(content)
+        names.insert(1, f"{bad_ids[-1]}.csv")
     (directory / "assets.txt").write_text("\n".join(names) + "\n")
     written = {}
     for workers in ("1", "2"):
@@ -241,11 +253,70 @@ def test_run_skips_broken_price_files(tmp_path_factory, capfd, broken):
         assert "Traceback" not in capfd.readouterr().err
         skipped = json.loads((out / "run_manifest.json").read_text())["skipped"]
         assert sorted((s["asset"], s["stage"]) for s in skipped) == [
-            (f"bad{i}", "load") for i in range(len(broken))
+            (asset, "load") for asset in sorted(bad_ids)
         ]
         rows = (out / "results_constant_theta0.05.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["good0", "good1"]
         written[workers] = skipped, {
+            p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"
+        }
+    assert written["1"] == written["2"]
+
+
+def _outcomes_per_level(out, manifest, methods, thetas):
+    """For every loaded asset, method and level: how many result rows and
+    own skips it has, and whether the level's joint model failed as a whole."""
+    counts = {}
+    for theta in thetas:
+        for method in methods:
+            stage = f"{method}@{theta}"
+            rows = (out / f"results_{method}_theta{theta}.csv").read_text().splitlines()[1:]
+            ids = [row.split(",")[0] for row in rows]
+            skipped = [s["asset"] for s in manifest["skipped"] if s["stage"] == stage]
+            for asset in manifest["assets"]:
+                counts[asset, stage] = (ids.count(asset) + skipped.count(asset), "*" in skipped)
+    return counts
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# filter(len): write_price_csv needs at least one return
+@given(panel=st.lists(hostile_returns().filter(len), min_size=2, max_size=3))
+# the shortest series a 16-day window takes (17 training returns), one
+# return shorter, a flat training segment that the joint model trained on
+# the other two leaves out, and a 100-day series
+@example(panel=[0.01 * np.random.default_rng(s).standard_normal(n) for s, n in ((0, 25), (1, 24))]
+         + [np.r_[np.zeros(70), 0.01 * np.random.default_rng(2).standard_normal(30)]]
+         + [0.01 * np.random.default_rng(3).standard_normal(100)])
+def test_run_gives_hostile_panels_one_outcome_each(tmp_path_factory, capfd, panel):
+    directory = tmp_path_factory.mktemp("hostile")
+    names = []
+    for i, returns in enumerate(panel):
+        # an extreme return may overflow the price; that file is then a load skip
+        with np.errstate(over="ignore"):
+            write_price_csv(ReturnSeries("h", returns, split_index=0), directory / f"h{i}.csv")
+        names.append(f"h{i}.csv")
+    (directory / "assets.txt").write_text("\n".join(names) + "\n")
+    thetas = ("0.05", "0.01")
+    written = {}
+    for workers in ("1", "2"):
+        out = directory / f"out{workers}"
+        code = main(["run", "--manifest", str(directory / "assets.txt"), "--output-dir", str(out),
+                     "--theta", ",".join(thetas), "--epochs", "1", "--window", "16",
+                     "--write-series", "--workers", workers])
+        assert "Traceback" not in capfd.readouterr().err
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        # every asset is loaded or skipped at load, once
+        loads = [s["asset"] for s in manifest["skipped"] if s["stage"] == "load"]
+        assert sorted(manifest["assets"] + loads) == [f"h{i}" for i in range(len(panel))]
+        assert code == (0 if manifest["assets"] else 2)
+        # then one row or one skip per (asset, method, level); a joint model
+        # that failed as a whole stands in for an asset's own record
+        if code == 0:
+            counts = _outcomes_per_level(out, manifest, ALL_METHODS, thetas)
+            for (asset, stage), (own, joint_failed) in counts.items():
+                assert own == 1 or (own == 0 and joint_failed), (asset, stage, own)
+        manifest["config"]["output_dir"] = None
+        written[workers] = manifest, {
             p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"
         }
     assert written["1"] == written["2"]
@@ -259,12 +330,16 @@ CLI_FILE_KINDS = (
 
 @st.composite
 def broken_cli_files(draw):
-    """A subcommand and the bytes of the file it reads, with one defect; None for a directory.
+    """A flag, the name of the file it reads, that file's bytes with one
+    defect (None for a directory) and the exit codes allowed for it.
 
-    `backtest` reads a VaR CSV, `report` a results CSV and `run` a config
-    file, whose `key = value` lines stand in for rows.
+    `backtest --var` reads a VaR CSV, `report --results-dir` a directory
+    holding a results CSV and `run --config` a config file, whose
+    `key = value` lines stand in for rows.
     """
-    command = draw(st.sampled_from(("backtest", "report", "run")))
+    flag = draw(st.sampled_from(("--var", "--results-dir", "--config")))
+    command = {"--var": "backtest", "--results-dir": "report", "--config": "run"}[flag]
+    name = {"--var": "var.csv", "--results-dir": "results_qcnn_theta0.05.csv", "--config": "run.cfg"}[flag]
     kind = draw(st.sampled_from(CLI_FILE_KINDS))
     if command == "backtest":
         header = [b"day", b"var"]
@@ -277,7 +352,7 @@ def broken_cli_files(draw):
         rows = [[b"manifest", b"assets.txt"], [b"output_dir", b"out"], [b"thetas", b"0.05"],
                 [b"seed", b"3"], [b"workers", b"1"]]
     if kind == "directory":
-        return command, None
+        return flag, name, None, (0, 2, 3)
     at = draw(st.integers(0, len(rows) - 1))
     col = draw(st.integers(0, len(rows[at]) - 1))
     field = rows[at][col]
@@ -301,40 +376,54 @@ def broken_cli_files(draw):
         rows[at][col] = b"1" * draw(st.integers(131_073, 140_000))
     sep = b" = " if command == "run" else b","
     lines = [b",".join(header)] + [sep.join(r) for r in rows]
-    return command, b"\n".join(lines) + b"\n"
+    return flag, name, b"\n".join(lines) + b"\n", (0, 2, 3)
 
 
 def _config(manifest=b"assets.txt", output_dir=b"out"):
     return b"[experiment]\nmanifest = " + manifest + b"\noutput_dir = " + output_dir + b"\n"
 
 
+RESULTS = b"asset_id,exceedance_rate,dq_stat,p_value,mean_var\na0,0.05,1.5,0.4,0.02\n"
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=broken_cli_files())
-@example(case=("run", _config(manifest=b"1" * 131_073)))
-@example(case=("run", _config(output_dir=b"1" * 131_073)))
-@example(case=("run", _config(output_dir=b"o\x00ut")))
+@example(case=("--config", "run.cfg", _config(manifest=b"1" * 131_073), (2,)))
+@example(case=("--config", "run.cfg", _config(output_dir=b"1" * 131_073), (2,)))
+@example(case=("--config", "run.cfg", _config(output_dir=b"o\x00ut"), (2,)))
+# an indented line would continue output_dir's value
+@example(case=("--config", "run.cfg", _config(output_dir=b"out\n = 3"), (2,)))
+@example(case=("--config", "run.cfg", _config(output_dir=b"100%"), (0,)))
+@example(case=("--results-dir", "results_qcnn_thetaabc.csv", RESULTS, (2,)))
+@example(case=("--results-dir", "results_qcnn_thetanan.csv", RESULTS, (2,)))
+@example(case=("--config", TOO_LONG, None, (2,)))
+@example(case=("--var", TOO_LONG, None, (2,)))
+@example(case=("--prices", TOO_LONG, None, (2,)))
+@example(case=("--results-dir", f"{TOO_LONG}/results_qcnn_theta0.05.csv", None, (2,)))
 def test_broken_cli_files_exit_cleanly(tmp_path_factory, capfd, monkeypatch, case):
-    # a broken VaR, results or config file is a data error (or harmless),
-    # never a usage error or a traceback
-    command, content = case
+    # a broken VaR, price, results or config file or a name the OS rejects
+    # is a data error (or harmless), never a usage error or a traceback
+    flag, name, content, exits = case
     directory = tmp_path_factory.mktemp("cli")
     for i in range(2):
         series, _ = simulate(SimSpec(process=IID_NORMAL, length=300, seed=i), asset_id=f"good{i}")
         write_price_csv(series, directory / f"good{i}.csv")
     (directory / "assets.txt").write_text("good0.csv\ngood1.csv\n")
-    name = {"backtest": "var.csv", "report": "results_qcnn_theta0.05.csv", "run": "run.cfg"}[command]
+    (directory / "good_var.csv").write_text("var\n" + "0.02\n" * 30)
     path = directory / name
-    if content is None:
-        path.mkdir()
-    else:
+    if content is not None:
         path.write_bytes(content)
+    elif TOO_LONG not in name:
+        path.mkdir()
+    named = str(Path(name).parent) if flag == "--results-dir" else name
     argv = {
-        "backtest": ["backtest", "--prices", "good0.csv", "--var", name, "--theta", "0.05"],
-        "report": ["report", "--results-dir", "."],
+        "--var": ["backtest", "--prices", "good0.csv", "--var", named, "--theta", "0.05"],
+        "--prices": ["backtest", "--prices", named, "--var", "good_var.csv", "--theta", "0.05"],
+        "--results-dir": ["report", "--results-dir", named],
         # without the flag a run would train networks: the config names no methods
-        "run": ["run", "--config", name, "--methods", "constant"],
-    }[command]
+        "--config": ["run", "--config", named, "--methods", "constant"],
+    }[flag]
     # relative paths, so a config whose output_dir a defect changed still writes inside
     monkeypatch.chdir(directory)
-    assert main(argv) in (0, 2, 3)
+    assert main(argv) in exits
     assert "Traceback" not in capfd.readouterr().err

@@ -157,15 +157,17 @@ class GarchParams:
 
 
 def _variance_recursion(eps2: np.ndarray, omega: float, alpha: float, beta: float, init_var: float):
-    # sigma2[t] = (omega + alpha*eps2[t-1]) + beta*sigma2[t-1] is a first-order
-    # IIR filter, so lfilter runs the exact recursion in one call; it runs one
-    # day past the data, so sigma2[-1] is the next day's variance
-    from scipy.signal import lfilter
+    # sigma2[t] = (omega + alpha*eps2[t-1]) + beta*sigma2[t-1] solves the unit lower
+    # bidiagonal system (I - beta*shift) sigma2 = driver: one BLAS dtbsv call, from
+    # the scipy.linalg that scipy.optimize already loads. It runs one day past
+    # the data, so sigma2[-1] is the next day's variance.
+    from scipy.linalg.blas import dtbsv
 
     driver = np.empty(eps2.size + 1)
     driver[0] = init_var
     driver[1:] = omega + alpha * eps2
-    return lfilter([1.0], [1.0, -beta], driver)
+    band = np.full((2, driver.size), -beta, order="F")
+    return dtbsv(1, band, driver, lower=1, diag=1, overwrite_x=1)
 
 
 def _variances_ahead(returns, params: GarchParams, init_var: float | None):

@@ -55,10 +55,12 @@ ALL_METHODS = (METHOD_CONSTANT, METHOD_GARCH, METHOD_LINEAR_QR, METHOD_QCNN, MET
 
 DEFAULT_THETAS = (0.05, 0.01, 0.001)
 
-# the scipy modules a method's tasks import on first use; every task scores
+# the scipy modules a method's tasks import on first use; every task scores.
+# GARCH's variance recursion calls scipy.linalg's BLAS, which scipy.optimize
+# loads with itself
 _SCIPY_USED_BY = {
     METHOD_CONSTANT: ("scipy.special",),
-    METHOD_GARCH: ("scipy.special", "scipy.optimize", "scipy.signal"),
+    METHOD_GARCH: ("scipy.special", "scipy.optimize"),
     METHOD_LINEAR_QR: ("scipy.special", "scipy.optimize"),
     METHOD_QCNN: ("scipy.special",),
 }
@@ -235,7 +237,9 @@ def run_joint_qcnn(
     them across assets. Predictions unscale with each asset's own scaler. An
     asset whose scaling, windowing or forecast fails is left out with a
     warning, and appended to `skips` as a run-manifest entry when a list is
-    given; the model trains when at least two assets remain.
+    given; the model trains when at least two assets remain. With fewer, it
+    raises InsufficientDataError naming every left-out asset and its error,
+    and appends nothing.
     """
     return _run_joint_level(_joint_pool(series_list, cfg), theta, cfg, skips)
 
@@ -264,6 +268,13 @@ def _run_joint_level(joint_pool, theta: float, cfg: ExperimentConfig, skips: lis
     """run_joint_qcnn at one level, from the state _joint_pool fitted."""
     members, pooled, left_out = joint_pool
     stage = f"{METHOD_JOINT_QCNN}@{_theta_tag(theta)}"
+    if pooled is None:
+        # the level's one failure then stands for every asset, so no asset
+        # gets a skip of its own
+        reasons = "".join(
+            f"; left out {s.asset_id} ({type(exc).__name__}: {exc})" for s, exc in left_out
+        )
+        raise InsufficientDataError(f"joint training needs at least 2 assets{reasons}")
 
     def leave_out(series: ReturnSeries, exc: QvarError) -> None:
         logger.warning("joint_qcnn at theta=%s leaves out %s: %s", theta, series.asset_id, exc)
@@ -272,8 +283,6 @@ def _run_joint_level(joint_pool, theta: float, cfg: ExperimentConfig, skips: lis
 
     for series, exc in left_out:
         leave_out(series, exc)
-    if pooled is None:
-        raise InsufficientDataError("joint training needs at least 2 assets")
     model = train(pooled, theta, _train_config_for(cfg, "joint_qcnn", theta))
     out = {}
     for series, scaler in members:

@@ -366,10 +366,11 @@ def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
                         dprev[:-lag] += dx[j, lag:]
                 dact = dprev.reshape(cin, cols)
             first = False
+    # copies, never views of ws.grad, which the next call on ws overwrites
     grads: list[np.ndarray] = []
     for layer, g in zip(layers, ws.grad):
         cout, cin, k = layer.weights.shape
-        grads.append(np.ascontiguousarray(g[:, :-1].reshape(cout, k, cin).transpose(0, 2, 1)))
+        grads.append(g[:, :-1].reshape(cout, k, cin).transpose(0, 2, 1).copy())
         grads.append(g[:, -1].copy())
     return loss / n, grads
 

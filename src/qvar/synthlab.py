@@ -126,9 +126,16 @@ def write_price_csv(
     """Export the series as a price CSV the data module can ingest.
 
     Prices are the cumulative exponentiation of the returns from
-    initial_price, dated on consecutive calendar days.
+    initial_price, dated on consecutive calendar days. Raises DomainError,
+    naming the first day, when a close overflows the double range, since
+    the data module would reject that file.
     """
-    closes = prices_from_returns(series.returns, initial_price)
+    with np.errstate(over="ignore"):
+        closes = prices_from_returns(series.returns, initial_price)
+    overflow = np.flatnonzero(np.isinf(closes))
+    if overflow.size:
+        day = start_date + dt.timedelta(days=int(overflow[0]))
+        raise DomainError(f"{series.asset_id}: the close on {day.isoformat()} overflows a double")
     lines = ["date,close"]
     for i, close in enumerate(closes):
         day = start_date + dt.timedelta(days=i)

@@ -142,8 +142,13 @@ class TestJoint:
         assert len(pooled) == 2 * len(wa)
 
     def test_joint_needs_two_assets(self, tmp_path):
-        with pytest.raises(InsufficientDataError):
-            run_joint_qcnn([sim_series(6)], 0.05, fast_cfg(tmp_path))
+        # the flat asset cannot be scaled; the one failure names it, and no
+        # skip of its own is recorded
+        flat = ReturnSeries(asset_id="flat", returns=np.zeros(399), split_index=300)
+        skips = []
+        with pytest.raises(InsufficientDataError, match=r"left out flat \(DegenerateDataError: "):
+            run_joint_qcnn([sim_series(6), flat], 0.05, fast_cfg(tmp_path), skips)
+        assert skips == []
 
     def test_joint_predicts_every_asset(self, tmp_path):
         cfg = fast_cfg(tmp_path)

@@ -11,10 +11,11 @@ import pytest
 
 import qvar
 from qvar.baselines import GarchParams
+from qvar.harness import ALL_METHODS
 from qvar.synthlab import GARCH11, SimSpec, simulate, write_price_csv
 
 SRC = Path(qvar.__file__).resolve().parents[1]
-SOLVERS = ("scipy.optimize", "scipy.signal")
+WATCHED = ("scipy.linalg", "scipy.optimize", "scipy.signal")
 
 
 def run_python(*parts: str):
@@ -61,7 +62,7 @@ def test_cli_import_loads_no_scipy_submodule():
     loaded = run_python(
         """
         import qvar.cli
-        names = ("scipy.optimize", "scipy.signal", "scipy.special", "scipy.stats")
+        names = ("scipy.linalg", "scipy.optimize", "scipy.signal", "scipy.special", "scipy.stats")
         print(json.dumps([m for m in names if m in sys.modules]))
         """
     )
@@ -72,21 +73,21 @@ def test_cli_import_loads_no_scipy_submodule():
 def test_constant_and_qcnn_run_loads_no_solver(tmp_path, workers):
     loaded = run_python(
         experiment(tmp_path, ("constant", "qcnn"), workers),
-        f"print(json.dumps([m for m in {SOLVERS!r} if m in sys.modules]))",
+        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))",
     )
     assert loaded == []
 
 
 def test_garch_pool_parent_holds_solvers_before_fork(tmp_path):
-    # records which solvers the parent has loaded when the pool is constructed
+    # records which watched modules the parent has loaded when the pool is constructed
     setup = f"""
         import qvar.harness
         from concurrent.futures import ProcessPoolExecutor
-        seen = [[m for m in {SOLVERS!r} if m in sys.modules]]
+        seen = [[m for m in {WATCHED!r} if m in sys.modules]]
 
         class Recording(ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
-                seen.append([m for m in {SOLVERS!r} if m in sys.modules])
+                seen.append([m for m in {WATCHED!r} if m in sys.modules])
                 super().__init__(*args, **kwargs)
 
         qvar.harness.ProcessPoolExecutor = Recording
@@ -95,4 +96,24 @@ def test_garch_pool_parent_holds_solvers_before_fork(tmp_path):
         setup, experiment(tmp_path, ("constant", "garch"), 2), "print(json.dumps(seen))"
     )
     assert before == []
-    assert at_fork == list(SOLVERS)
+    assert at_fork == ["scipy.linalg", "scipy.optimize"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_of_every_method_never_loads_scipy_signal(tmp_path, workers):
+    # the finder refuses scipy.signal in the parent and in every worker it
+    # forks, so an import of it anywhere in the run fails the run
+    refuse = """
+        class Refuse:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[:2] == ["scipy", "signal"]:
+                    raise ImportError(f"{name} imported during a run")
+
+        sys.meta_path.insert(0, Refuse())
+        """
+    loaded = run_python(
+        refuse,
+        experiment(tmp_path, ALL_METHODS, workers),
+        'print(json.dumps("scipy.signal" in sys.modules))',
+    )
+    assert loaded is False

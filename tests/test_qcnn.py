@@ -285,6 +285,17 @@ class TestTrainingKernel:
         assert loss == pytest.approx(pinball_loss(Y, q, theta), rel=1e-12)
 
 
+    def test_gradients_outlive_the_next_call_on_the_workspace(self):
+        rng = np.random.default_rng(5)
+        model = build_model(0.05, rng=rng)
+        ws = _Workspace(model, SUB_BATCH_COLUMNS)
+        X, Y = rng.standard_normal((2, 4, 128))
+        _, grads = _loss_and_grads(model, [(X, Y, 1.0)], X.size, ws)
+        kept = [g.copy() for g in grads]
+        _loss_and_grads(model, [(Y, X, 1.0)], X.size, ws)
+        for got, expected in zip(grads, kept):
+            assert np.array_equal(got, expected)
+
 def pooled_windows(assets, length, window, stride, seed):
     """Windows of `assets` seeded random-return series, pooled in asset order."""
     rng = np.random.default_rng(seed)

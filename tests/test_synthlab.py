@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qvar.baselines import GarchParams, gaussian_quantile
-from qvar.data import load_prices, log_returns
+from qvar.data import ReturnSeries, load_prices, log_returns
 from qvar.errors import DomainError
 from qvar.synthlab import (
     GARCH11,
@@ -139,3 +139,13 @@ def test_price_csv_round_trip(tmp_path):
     assert len(back) == len(series)
     assert back.split_index == series.split_index
     assert np.max(np.abs(back.returns - series.returns)) < 1e-10
+
+
+def test_price_csv_rejects_an_overflowing_close(tmp_path, recwarn):
+    # cumulative log returns pass log(max double) ~ 709.8 on the fourth close
+    series = ReturnSeries("big", np.array([300.0, 300.0, 200.0, -1e3]), split_index=2)
+    path = tmp_path / "big.csv"
+    with pytest.raises(DomainError, match="big: the close on 2009-01-04 overflows"):
+        write_price_csv(series, path)
+    assert not path.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

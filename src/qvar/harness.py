@@ -136,8 +136,14 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _stage(method: str, theta: float) -> str:
+    return f"{method}@{_theta_tag(theta)}"
+
+
 def _skip(asset: str, stage: str, exc: QvarError) -> dict:
-    # one run_manifest.json "skipped" entry; "error" names the exception class
+    # one run_manifest.json "skipped" entry, logged once as it is made;
+    # "error" names the exception class
+    logger.warning("skipping %s at %s: %s", asset, stage, exc)
     return {"asset": asset, "stage": stage, "error": type(exc).__name__, "reason": str(exc)}
 
 
@@ -229,19 +235,18 @@ def run_joint_qcnn(
     series_list: list[ReturnSeries],
     theta: float,
     cfg: ExperimentConfig,
-    skips: list[dict] | None = None,
 ) -> tuple[dict[str, tuple[VarForecast, BacktestResult]], QcnnModel]:
     """Train one model on the pooled windows of every asset, then forecast each.
 
     Windows are scaled per asset before pooling; the training shuffle mixes
     them across assets. Predictions unscale with each asset's own scaler. An
     asset whose scaling, windowing or forecast fails is left out with a
-    warning, and appended to `skips` as a run-manifest entry when a list is
-    given; the model trains when at least two assets remain. With fewer, it
-    raises InsufficientDataError naming every left-out asset and its error,
-    and appends nothing.
+    warning and is absent from the result; the model trains when at least
+    two assets remain. With fewer, it raises InsufficientDataError naming
+    every left-out asset and its error.
     """
-    return _run_joint_level(_joint_pool(series_list, cfg), theta, cfg, skips)
+    outcomes, model = _run_joint_level(_joint_pool(series_list, cfg), theta, cfg)
+    return {a: o for a, o in outcomes.items() if isinstance(o, tuple)}, model
 
 
 def _joint_pool(series_list: list[ReturnSeries], cfg: ExperimentConfig):
@@ -264,10 +269,13 @@ def _joint_pool(series_list: list[ReturnSeries], cfg: ExperimentConfig):
     return members, pooled, left_out
 
 
-def _run_joint_level(joint_pool, theta: float, cfg: ExperimentConfig, skips: list[dict] | None):
-    """run_joint_qcnn at one level, from the state _joint_pool fitted."""
+def _run_joint_level(joint_pool, theta: float, cfg: ExperimentConfig):
+    """run_joint_qcnn at one level, from the state _joint_pool fitted.
+
+    Returns each asset's outcome, its (forecast, result) or its skip, and
+    the model; a left-out asset's skip is made only once the model trains.
+    """
     members, pooled, left_out = joint_pool
-    stage = f"{METHOD_JOINT_QCNN}@{_theta_tag(theta)}"
     if pooled is None:
         # the level's one failure then stands for every asset, so no asset
         # gets a skip of its own
@@ -275,23 +283,16 @@ def _run_joint_level(joint_pool, theta: float, cfg: ExperimentConfig, skips: lis
             f"; left out {s.asset_id} ({type(exc).__name__}: {exc})" for s, exc in left_out
         )
         raise InsufficientDataError(f"joint training needs at least 2 assets{reasons}")
-
-    def leave_out(series: ReturnSeries, exc: QvarError) -> None:
-        logger.warning("joint_qcnn at theta=%s leaves out %s: %s", theta, series.asset_id, exc)
-        if skips is not None:
-            skips.append(_skip(series.asset_id, stage, exc))
-
-    for series, exc in left_out:
-        leave_out(series, exc)
     model = train(pooled, theta, _train_config_for(cfg, "joint_qcnn", theta))
-    out = {}
+    stage = _stage(METHOD_JOINT_QCNN, theta)
+    out = {s.asset_id: _skip(s.asset_id, stage, exc) for s, exc in left_out}
     for series, scaler in members:
         try:
             out[series.asset_id] = _forecast(
                 series, theta, METHOD_JOINT_QCNN, cfg, (scaler, None), model
             )
         except QvarError as exc:
-            leave_out(series, exc)
+            out[series.asset_id] = _skip(series.asset_id, stage, exc)
     return out, model
 
 
@@ -327,43 +328,16 @@ def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
 # ---------------------------------------------------------------------------
 
 
-def _run_task(series: ReturnSeries, method: str, cfg: ExperimentConfig) -> list:
-    """One (asset, method) at every level of cfg.thetas, in that order.
-
-    The level-free fit runs once; if it fails, every level records its
-    error. Otherwise each level is forecast and scored on its own, so a
-    failing level records only its own skip. A level's outcome is its
-    BacktestResult, its series file written first when the run asks for
-    one, or its run-manifest skip.
-    """
-
-    def skipped(theta, exc):
-        return _skip(series.asset_id, f"{method}@{_theta_tag(theta)}", exc)
-
-    try:
-        fitted = _fit_level_free(series, method, cfg)
-    except QvarError as exc:
-        return [skipped(theta, exc) for theta in cfg.thetas]
-    outcomes = []
-    for theta in cfg.thetas:
-        try:
-            forecast, result = _forecast(series, theta, method, cfg, fitted)
-        except QvarError as exc:
-            outcomes.append(skipped(theta, exc))
-            continue
-        if cfg.write_series:
-            _write_series_csv(cfg.output_dir, forecast)
-        outcomes.append(result)
-    return outcomes
-
-
 def _run_asset(path: Path, cfg: ExperimentConfig):
     """One pool task: load an asset's price file and run every single-asset
-    method on it.
+    method on it at every level of cfg.thetas.
 
     Returns (None, the load skip) when the file cannot be read or its
-    training segment is too short to window; otherwise the series and, per
-    method, the outcomes _run_task returns.
+    training segment is too short to window; otherwise the series and its
+    outcome table, keyed (asset, method, theta). A method's level-free fit
+    runs once; if it fails, every level records its error. Otherwise each
+    level is forecast and scored on its own, so a failing level records
+    only its own skip.
     """
     try:
         series = log_returns(load_prices(path))
@@ -372,9 +346,28 @@ def _run_asset(path: Path, cfg: ExperimentConfig):
                 f"training segment has {series.split_index} returns, need >= {cfg.window + 1}"
             )
     except QvarError as exc:
-        logger.warning("skipping %s: %s", path, exc)
         return None, _skip(path.stem, "load", exc)
-    return series, {m: _run_task(series, m, cfg) for m in cfg.methods if m != METHOD_JOINT_QCNN}
+    asset_id = series.asset_id
+    outcomes: dict = {}
+    for method in cfg.methods:
+        if method == METHOD_JOINT_QCNN:
+            continue
+        try:
+            fitted = _fit_level_free(series, method, cfg)
+        except QvarError as exc:
+            for theta in cfg.thetas:
+                outcomes[asset_id, method, theta] = _skip(asset_id, _stage(method, theta), exc)
+            continue
+        for theta in cfg.thetas:
+            key = (asset_id, method, theta)
+            try:
+                forecast, outcomes[key] = _forecast(series, theta, method, cfg, fitted)
+            except QvarError as exc:
+                outcomes[key] = _skip(asset_id, _stage(method, theta), exc)
+                continue
+            if cfg.write_series:
+                _write_series_csv(cfg.output_dir, forecast)
+    return series, outcomes
 
 
 def _theta_tag(theta: float) -> str:
@@ -444,7 +437,8 @@ def write_run_manifest(cfg: ExperimentConfig, assets: list[str], skips: list[dic
             "train": dataclasses.asdict(cfg.train),
         },
         "assets": assets,
-        "skipped": skips,
+        # one documented order, whatever order the tasks ran in
+        "skipped": sorted(skips, key=lambda s: (s["asset"], s["stage"], s["reason"])),
     }
     path = Path(cfg.output_dir) / "run_manifest.json"
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -460,8 +454,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     independent and run on a process pool when workers allow; per-task
     seeds still come from the (asset, method, level) identity. The joint
     model's pooled windows are built once, and it trains once per theta in
-    the main process. Output is deterministic for a fixed config and seed
-    regardless of worker count.
+    the main process. Each (asset, method, theta) ends as one entry of one
+    outcome table, its BacktestResult or its skip; a manifest line that
+    does not load gets one load skip, and run_manifest.json lists every skip
+    sorted by (asset, stage, reason). Output is deterministic for a fixed
+    config and seed regardless of worker count.
     """
     output_dir = Path(cfg.output_dir)
     try:
@@ -475,10 +472,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         chosen = sorted(rng.choice(len(paths), size=cfg.sample_size, replace=False))
         paths = [paths[i] for i in chosen]
     # an asset id names its output files, so only its first path is run
-    first: dict[str, int] = {}
-    for i, path in enumerate(paths):
-        first.setdefault(path.stem, i)
-    tasks = [paths[i] for i in first.values()]
+    first: dict[str, Path] = {}
+    load_skips = []
+    for path in paths:
+        if path.stem in first:
+            taken = DomainError(f"asset id {path.stem!r} is taken by {first[path.stem]}")
+            load_skips.append(_skip(path.stem, "load", taken))
+        else:
+            first[path.stem] = path
+    tasks = list(first.values())
 
     single_methods = [m for m in cfg.methods if m != METHOD_JOINT_QCNN]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
@@ -494,67 +496,48 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     else:
         done = [_run_asset(path, cfg) for path in tasks]
 
-    # load skips first, in manifest order
-    skips: list[dict] = []
-    loaded: list[tuple[ReturnSeries, dict[str, list]]] = []
-    task_results = iter(done)
-    for i, path in enumerate(paths):
-        if first[path.stem] != i:
-            taken = DomainError(f"asset id {path.stem!r} is taken by {paths[first[path.stem]]}")
-            logger.warning("skipping %s: %s", path, taken)
-            skips.append(_skip(path.stem, "load", taken))
-            continue
-        series, outcomes = next(task_results)
+    series_list: list[ReturnSeries] = []
+    outcomes: dict[tuple[str, str, float], BacktestResult | dict] = {}
+    for series, loaded in done:
         if series is None:
-            skips.append(outcomes)
+            load_skips.append(loaded)
         else:
-            loaded.append((series, outcomes))
-    series_list = [series for series, _ in loaded]
+            series_list.append(series)
+            outcomes.update(loaded)
     if not series_list:
         # the manifest still records why each asset was left out
-        write_run_manifest(cfg, [], skips)
+        write_run_manifest(cfg, [], load_skips)
         raise InsufficientDataError(f"no usable assets in manifest {cfg.manifest}")
-
-    # then each level's skips, in (theta, method, asset) order
-    results: dict[tuple[str, float, str], BacktestResult] = {}
-    for level, theta in enumerate(cfg.thetas):
-        for method in single_methods:
-            for series, outcomes in loaded:
-                outcome = outcomes[method][level]
-                if isinstance(outcome, BacktestResult):
-                    results[(series.asset_id, theta, method)] = outcome
-                else:
-                    logger.warning(
-                        "skipping %s/%s at theta=%s: %s",
-                        series.asset_id, method, theta, outcome["reason"],
-                    )
-                    skips.append(outcome)
 
     joint_pool = _joint_pool(series_list, cfg) if METHOD_JOINT_QCNN in cfg.methods else None
     summaries_by_theta: dict[float, list[MethodSummary]] = {}
     for theta in cfg.thetas:
         if joint_pool is not None:
             try:
-                joint, joint_model = _run_joint_level(joint_pool, theta, cfg, skips)
+                joint, joint_model = _run_joint_level(joint_pool, theta, cfg)
                 save_model(joint_model, output_dir / f"joint_qcnn_theta{_theta_tag(theta)}.json")
             except QvarError as exc:
-                logger.warning("joint_qcnn skipped at theta=%s: %s", theta, exc)
-                skips.append(_skip("*", f"{METHOD_JOINT_QCNN}@{_theta_tag(theta)}", exc))
+                # the model failed as a whole: one skip stands for every asset
+                skip = _skip("*", _stage(METHOD_JOINT_QCNN, theta), exc)
+                outcomes["*", METHOD_JOINT_QCNN, theta] = skip
             else:
-                for asset_id, (forecast, result) in joint.items():
-                    results[(asset_id, theta, METHOD_JOINT_QCNN)] = result
-                    if cfg.write_series:
-                        _write_series_csv(output_dir, forecast)
+                for asset_id, outcome in joint.items():
+                    if isinstance(outcome, tuple):
+                        forecast, outcome = outcome
+                        if cfg.write_series:
+                            _write_series_csv(output_dir, forecast)
+                    outcomes[asset_id, METHOD_JOINT_QCNN, theta] = outcome
 
         per_method: dict[str, list[BacktestResult]] = {}
         for method in cfg.methods:
-            keys = [(s.asset_id, theta, method) for s in series_list]
-            rows = [(key[0], results[key]) for key in keys if key in results]
+            rows = [(s.asset_id, outcomes.get((s.asset_id, method, theta))) for s in series_list]
+            rows = [(asset_id, r) for asset_id, r in rows if isinstance(r, BacktestResult)]
             per_method[method] = [r for _, r in rows]
             write_results_csv(results_csv_path(output_dir, method, theta), rows)
         summaries = aggregate(per_method)
         write_summary_csv(summary_csv_path(output_dir, theta), summaries)
         summaries_by_theta[theta] = summaries
 
-    write_run_manifest(cfg, [s.asset_id for s in series_list], skips)
+    skips = [o for o in outcomes.values() if not isinstance(o, BacktestResult)]
+    write_run_manifest(cfg, [s.asset_id for s in series_list], load_skips + skips)
     return summaries_by_theta

@@ -127,15 +127,18 @@ def write_price_csv(
 
     Prices are the cumulative exponentiation of the returns from
     initial_price, dated on consecutive calendar days. Raises DomainError,
-    naming the first day, when a close overflows the double range, since
-    the data module would reject that file.
+    naming the first day, when a close is not a positive finite double (it
+    overflows, or underflows to 0), since the data module would reject
+    that file.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         closes = prices_from_returns(series.returns, initial_price)
-    overflow = np.flatnonzero(np.isinf(closes))
-    if overflow.size:
-        day = start_date + dt.timedelta(days=int(overflow[0]))
-        raise DomainError(f"{series.asset_id}: the close on {day.isoformat()} overflows a double")
+    bad = np.flatnonzero(~(np.isfinite(closes) & (closes > 0)))
+    if bad.size:
+        day = start_date + dt.timedelta(days=int(bad[0]))
+        close = float(closes[bad[0]])
+        what = "overflows a double" if close == np.inf else f"is {close!r}, not a positive double"
+        raise DomainError(f"{series.asset_id}: the close on {day.isoformat()} {what}")
     lines = ["date,close"]
     for i, close in enumerate(closes):
         day = start_date + dt.timedelta(days=i)

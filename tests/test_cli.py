@@ -214,10 +214,11 @@ class TestRun:
         assert code == 0
         payload = json.loads((out_dir / "run_manifest.json").read_text())
         assert payload["assets"] == ["asset0", "asset1"]
+        # sorted by asset id; tmp_path's name begins with "test_"
         assert [(s["asset"], s["stage"], s["error"]) for s in payload["skipped"]] == [
             ("latin1", "load", "ParseError"),
-            ("wide", "load", "ParseError"),
             (tmp_path.name, "load", "ParseError"),
+            ("wide", "load", "ParseError"),
         ]
 
 

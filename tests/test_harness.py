@@ -142,13 +142,10 @@ class TestJoint:
         assert len(pooled) == 2 * len(wa)
 
     def test_joint_needs_two_assets(self, tmp_path):
-        # the flat asset cannot be scaled; the one failure names it, and no
-        # skip of its own is recorded
+        # the flat asset cannot be scaled; the one failure names it
         flat = ReturnSeries(asset_id="flat", returns=np.zeros(399), split_index=300)
-        skips = []
         with pytest.raises(InsufficientDataError, match=r"left out flat \(DegenerateDataError: "):
-            run_joint_qcnn([sim_series(6), flat], 0.05, fast_cfg(tmp_path), skips)
-        assert skips == []
+            run_joint_qcnn([sim_series(6), flat], 0.05, fast_cfg(tmp_path))
 
     def test_joint_predicts_every_asset(self, tmp_path):
         cfg = fast_cfg(tmp_path)
@@ -347,6 +344,23 @@ class TestRunExperiment:
             ]
         for name in ("results_constant_theta0.05.csv", "series_constant_theta0.05_asset0.csv"):
             assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
+        # a first asset0 that fails to load still takes the id: both lines are
+        # load skips of asset0, ordered by reason
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad" / "asset0.csv").write_text("date,close\n2020-01-01,100\n2020-01-02,-5\n")
+        manifest.write_text("bad/asset0.csv\nagain/asset0.csv\nasset1.csv\n")
+        for workers in (1, 2):
+            cfg = fast_cfg(
+                tmp_path, manifest=manifest, output_dir=tmp_path / f"bad{workers}",
+                methods=("constant",), workers=workers,
+            )
+            run_experiment(cfg)
+            payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
+            assert payload["assets"] == ["asset1"]
+            assert [(s["asset"], s["stage"], s["reason"]) for s in payload["skipped"]] == [
+                ("asset0", "load", f"asset id 'asset0' is taken by {tmp_path / 'bad' / 'asset0.csv'}"),
+                ("asset0", "load", "asset0: non-positive close -5.0 on 2020-01-02"),
+            ]
 
     def test_joint_windows_built_once_per_run(self, tmp_path, monkeypatch):
         manifest = write_panel(tmp_path, n_assets=2)
@@ -373,8 +387,8 @@ class TestRunExperiment:
         # the asset the pool leaves out is still recorded at every level
         payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
         assert [(s["asset"], s["stage"]) for s in payload["skipped"]] == [
-            ("flat", "joint_qcnn@0.05"),
             ("flat", "joint_qcnn@0.01"),
+            ("flat", "joint_qcnn@0.05"),
         ]
 
     def test_method_failures_recorded_not_fatal(self, tmp_path):
@@ -396,13 +410,43 @@ class TestRunExperiment:
             rows = (cfg.output_dir / f"results_garch_theta{theta:g}.csv").read_text().splitlines()
             assert len(rows) == 1  # header only
         payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
-        # skips are recorded level by level, whatever order the tasks ran in
         assert [(s["asset"], s["stage"]) for s in payload["skipped"]] == [
-            ("tiny7", "garch@0.05"),
-            ("tiny8", "garch@0.05"),
             ("tiny7", "garch@0.01"),
+            ("tiny7", "garch@0.05"),
             ("tiny8", "garch@0.01"),
+            ("tiny8", "garch@0.05"),
         ]
+
+    def test_skip_list_ignores_schedule_and_manifest_order(self, tmp_path):
+        # 60 training returns: garch (needs 100) rejects both tiny assets
+        for seed in (7, 8):
+            series, _ = simulate(SimSpec(process=GARCH11, length=90, seed=seed, garch=GARCH))
+            write_price_csv(series, tmp_path / f"tiny{seed}.csv")
+        (tmp_path / "bad.csv").write_text("date,close\n2020-01-01,100\n2020-01-02,-5\n")
+        lines = ["tiny8.csv", "missing.csv", "tiny7.csv", "bad.csv"]
+        manifest = tmp_path / "assets.txt"
+        skipped = {}
+        for order in ("forward", "reversed"):
+            manifest.write_text("\n".join(lines if order == "forward" else lines[::-1]) + "\n")
+            for workers in (1, 2):
+                cfg = fast_cfg(
+                    tmp_path, manifest=manifest, output_dir=tmp_path / f"{order}{workers}",
+                    methods=("constant", "garch"), thetas=(0.05, 0.01), window=16,
+                    workers=workers,
+                )
+                run_experiment(cfg)
+                payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
+                skipped[order, workers] = payload["skipped"]
+        assert [(s["asset"], s["stage"]) for s in skipped["forward", 1]] == [
+            ("bad", "load"),
+            ("missing", "load"),
+            ("tiny7", "garch@0.01"),
+            ("tiny7", "garch@0.05"),
+            ("tiny8", "garch@0.01"),
+            ("tiny8", "garch@0.05"),
+        ]
+        for key, skips in skipped.items():
+            assert skips == skipped["forward", 1], key
 
     def test_any_qvar_error_is_a_recorded_skip(self, tmp_path, monkeypatch):
         manifest = write_panel(tmp_path)

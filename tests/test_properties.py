@@ -356,12 +356,15 @@ def test_run_gives_hostile_panels_one_outcome_each(tmp_path_factory, capfd, pane
         try:
             write_price_csv(ReturnSeries("h", returns, split_index=0), path)
         except DomainError:
-            # an extreme return overflows a close; the file is written with its
-            # inf close all the same, and the run records it as a load skip
-            with np.errstate(over="ignore"):
+            # an extreme return overflows a close to inf or underflows it to 0;
+            # the file is written with that close all the same, and the run
+            # records it as a load skip
+            with np.errstate(all="ignore"):
                 closes = prices_from_returns(returns)
             days = (dt.date(2009, 1, 1) + dt.timedelta(days=d) for d in range(closes.size))
-            path.write_text("date,close\n" + "".join(f"{d},{c!r}\n" for d, c in zip(days, closes)))
+            path.write_text(
+                "date,close\n" + "".join(f"{d},{float(c)!r}\n" for d, c in zip(days, closes))
+            )
         names.append(path.name)
     (directory / "assets.txt").write_text("\n".join(names) + "\n")
     thetas = ("0.05", "0.01")

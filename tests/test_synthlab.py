@@ -148,4 +148,10 @@ def test_price_csv_rejects_an_overflowing_close(tmp_path, recwarn):
     with pytest.raises(DomainError, match="big: the close on 2009-01-04 overflows"):
         write_price_csv(series, path)
     assert not path.exists()
+    # below about -745 the cumulative log return underflows the close to 0
+    series = ReturnSeries("small", np.array([-1000.0, 0.1]), split_index=1)
+    path = tmp_path / "small.csv"
+    with pytest.raises(DomainError, match=r"small: the close on 2009-01-02 is 0\.0, not a positive"):
+        write_price_csv(series, path)
+    assert not path.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -52,6 +52,8 @@ METHOD_LINEAR_QR = "linear_qr"
 METHOD_QCNN = "qcnn"
 METHOD_JOINT_QCNN = "joint_qcnn"
 ALL_METHODS = (METHOD_CONSTANT, METHOD_GARCH, METHOD_LINEAR_QR, METHOD_QCNN, METHOD_JOINT_QCNN)
+# the asset id of the one skip a joint model that fails as a whole records
+WHOLE_LEVEL = "*"
 
 DEFAULT_THETAS = (0.05, 0.01, 0.001)
 
@@ -475,7 +477,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     first: dict[str, Path] = {}
     load_skips = []
     for path in paths:
-        if path.stem in first:
+        if path.stem == WHOLE_LEVEL:
+            reserved = DomainError(
+                f"asset id {WHOLE_LEVEL!r} is reserved for a joint model's whole-level skip"
+            )
+            load_skips.append(_skip(path.stem, "load", reserved))
+        elif path.stem in first:
             taken = DomainError(f"asset id {path.stem!r} is taken by {first[path.stem]}")
             load_skips.append(_skip(path.stem, "load", taken))
         else:
@@ -518,8 +525,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
                 save_model(joint_model, output_dir / f"joint_qcnn_theta{_theta_tag(theta)}.json")
             except QvarError as exc:
                 # the model failed as a whole: one skip stands for every asset
-                skip = _skip("*", _stage(METHOD_JOINT_QCNN, theta), exc)
-                outcomes["*", METHOD_JOINT_QCNN, theta] = skip
+                skip = _skip(WHOLE_LEVEL, _stage(METHOD_JOINT_QCNN, theta), exc)
+                outcomes[WHOLE_LEVEL, METHOD_JOINT_QCNN, theta] = skip
             else:
                 for asset_id, outcome in joint.items():
                     if isinstance(outcome, tuple):

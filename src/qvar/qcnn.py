@@ -222,6 +222,19 @@ class _Workspace:
     into q), so a rectifier layer's activations are the next layer's
     current tap. The first `lag` positions of each sequence in a lagged tap
     are zeroed by lay_out and never written.
+
+    The prefix of a two-pass step (see _step_blocks) has buffers of its own,
+    so that the series pass's activations outlive it. Layer i's output in a
+    zero-padded window differs from the series pass's only at positions
+    0..reach[i]-1. The prefix runs in groups of at most prefix_group
+    windows, which compute no more layer-columns than a sub-batch.
+    lay_prefix(model, m) views pxin[i], shape (k*cin + 1, reach[i]*m),
+    position-major: column t*m + w holds position t of window w, so a lag of
+    d positions is a shift of d*m columns. Layer i writes its output into
+    pout[i], the first reach[i]*m columns of layer i+1's current tap (the
+    head writes into pq). shared[i] collects the prefix's gradient on the
+    series pass's input to layer i, laid out like that input's (cin, cols)
+    rows.
     """
 
     def __init__(self, model: QcnnModel, cols: int):
@@ -238,6 +251,18 @@ class _Workspace:
             self.grad.append(np.empty((cout, k * cin + 1)))
             self.dx.append(np.empty(k * cin * cols))
         self.q = np.empty(cols)
+        self.reach = np.cumsum([l.dilation * (l.kernel_size - 1) for l in model.layers]).tolist()
+        self.prefix_group = max(len(model.layers) * cols // max(sum(self.reach), 1), 1)
+        self.prefix_windows = None
+        self.pflat: list[np.ndarray] = []
+        self.pdx: list[np.ndarray] = []
+        self.shared: list[np.ndarray] = []
+        for layer, n in zip(model.layers, self.reach):
+            k, cin = layer.kernel_size, layer.in_channels
+            self.pflat.append(np.empty((k * cin + 1) * n * self.prefix_group))
+            self.pdx.append(np.empty(k * cin * n * self.prefix_group))
+            self.shared.append(np.empty(cin * cols))
+        self.pq = np.empty(self.reach[-1] * self.prefix_group)
 
     def pack(self, model: QcnnModel) -> None:
         """Copy the model's current parameters into wfull."""
@@ -264,6 +289,24 @@ class _Workspace:
             self.cur.append(xin[(k - 1) * cin : k * cin])
         self.out = [*self.cur[1:], self.q[:cols].reshape(1, cols)]
         self.shape = (m, T)
+
+    def lay_prefix(self, model: QcnnModel, m: int) -> None:
+        """View the prefix buffers for m <= prefix_group windows (a no-op if they already are)."""
+        if self.prefix_windows == m:
+            return
+        self.pxin: list[np.ndarray] = []
+        self.pcur: list[np.ndarray] = []
+        for layer, n, flat in zip(model.layers, self.reach, self.pflat):
+            k, cin = layer.kernel_size, layer.in_channels
+            xin = flat[: (k * cin + 1) * n * m].reshape(k * cin + 1, n * m)
+            xin[-1] = 1.0
+            for j in range(k - 1):
+                xin[j * cin : (j + 1) * cin, : (k - 1 - j) * layer.dilation * m] = 0.0
+            self.pxin.append(xin)
+            self.pcur.append(xin[(k - 1) * cin : k * cin])
+        self.pout = [cur[:, : n * m] for cur, n in zip(self.pcur[1:], self.reach)]
+        self.pout.append(self.pq[: self.reach[-1] * m].reshape(1, -1))
+        self.prefix_windows = m
 
 
 def _forward_batch(
@@ -312,22 +355,101 @@ def pinball_loss(y, q, theta: float) -> float:
     return float(np.mean(np.where(diff >= 0, theta * diff, (theta - 1.0) * diff)))
 
 
+def _pinball_terms(diff, w, theta: float, n: int):
+    """sum(w * pinball(diff)) and its gradient with respect to the forecasts, divided by n."""
+    loss = float(np.sum(w * np.where(diff >= 0, theta * diff, (theta - 1.0) * diff)))
+    # left-branch subgradient at the kink: diff == 0 takes the theta branch
+    return loss, np.where(diff >= 0, -theta, 1.0 - theta) * w / n
+
+
+def _add_grad(ws: _Workspace, i: int, dact: np.ndarray, xin: np.ndarray, first: bool) -> None:
+    """Layer i's weight gradient from dact, written on the first pass of a call, else added."""
+    if first:
+        np.matmul(dact, xin.T, out=ws.grad[i])
+    else:
+        ws.grad[i] += dact @ xin.T
+
+
+def _prefix_step(model, heads, targets, n, ws, first) -> float:
+    """Pinball sum over positions 0..R-2 of the windows that start at columns
+    `heads` of the series pass in ws, divided by n, and its gradients.
+
+    Each layer computes only the positions where a zero-padded window
+    differs from the series pass. From position reach[i-1] on, layer i's
+    input is the series pass's, gathered from it with one take per layer.
+    Backward, the weight gradients go to ws.grad (written if `first`), and
+    the gradient on the gathered inputs is scattered into ws.shared with one
+    add.at per layer, for the series pass's backward to add.
+    """
+    layers, reach = model.layers, ws.reach
+    m = heads.size
+    width = ws.shape[1]  # of the series pass, a single sequence
+    ws.lay_prefix(model, m)
+    # column t*m + w is position t of window w; `at` is its series column
+    at = (np.arange(reach[-1])[:, None] + heads).ravel()
+    n0 = 0
+    for i, (layer, n1) in enumerate(zip(layers, reach)):
+        k, cin = layer.kernel_size, layer.in_channels
+        xin, cur = ws.pxin[i], ws.pcur[i]
+        cur[:, n0 * m : n1 * m] = np.take(ws.cur[i], at[n0 * m : n1 * m], axis=1)
+        for j in range(k - 1):
+            lag = (k - 1 - j) * layer.dilation
+            if lag < n1:
+                xin[j * cin : (j + 1) * cin, lag * m :] = cur[:, : (n1 - lag) * m]
+        out = ws.pout[i]
+        np.matmul(ws.wfull[i], xin, out=out)
+        if layer.activation == RECTIFIER:
+            np.maximum(out, 0.0, out=out)
+        n0 = n1
+    loss, dact = _pinball_terms(targets[at] - ws.pout[-1], 1.0, model.theta, n)
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        k, cin = layer.kernel_size, layer.in_channels
+        n1 = reach[i]
+        if layer.activation == RECTIFIER:
+            np.multiply(dact, ws.pout[i] > 0, out=dact)
+        _add_grad(ws, i, dact, ws.pxin[i], first)
+        if i == 0:
+            break
+        dx = ws.pdx[i][: k * cin * n1 * m].reshape(k, cin, n1 * m)
+        np.matmul(ws.wfull[i][:, :-1].T, dact, out=dx.reshape(k * cin, n1 * m))
+        dprev = dx[k - 1]
+        for j in range(k - 1):
+            lag = (k - 1 - j) * layer.dilation
+            if lag < n1:
+                dprev[:, : (n1 - lag) * m] += dx[j, :, lag * m :]
+        n0 = reach[i - 1]
+        # windows start at distinct columns, but one series column can be
+        # several windows' positions, so repeated indices must add up
+        spots = at[n0 * m : n1 * m] + width * np.arange(cin)[:, None]
+        np.add.at(ws.shared[i], spots.ravel(), dprev[:, n0 * m :].ravel())
+        dact = dprev[:, : n0 * m]
+    return loss
+
+
 def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
     """Weighted pinball loss over blocks of sequences, divided by n, and its exact gradients.
 
-    Each block is (X, Y, W): inputs and targets of shape (m, T) and
-    per-position weights broadcastable to them. The loss is
-    sum(W * pinball(Y - q)) / n over every block; W = 1 with n = X.size is
-    the batch mean. Blocks run forward and backward in consecutive
-    sub-batches of ws.cols // T sequences, and the sub-batch gradients are
-    summed in order.
+    Each block is (X, Y, W, heads): inputs and targets of shape (m, T),
+    per-position weights broadcastable to them, and heads, None or the
+    columns at which windows start in a single-sequence block. The loss is
+    sum(W * pinball(Y - q)) / n over every block, plus, for each head h, the
+    pinball sum over positions 0..R-2 of the zero-padded window starting at
+    X[0, h] (see _step_blocks); W = 1 with n = X.size and no heads is the
+    batch mean. Blocks run forward and backward in consecutive sub-batches
+    of ws.cols // T sequences, and the sub-batch gradients are summed in
+    order. A block with heads runs in four parts: the series pass forward;
+    the prefix forward and backward (_prefix_step) for each group of at
+    most ws.prefix_group heads; then the series pass backward, which adds
+    the prefix's gradient on each layer's input before the mask of the
+    layer that output it.
     """
     theta = model.theta
     layers = model.layers
     ws.pack(model)
     loss = 0.0
     first = True
-    for X, Y, W in blocks:
+    for X, Y, W, heads in blocks:
         T = X.shape[1]
         W = np.broadcast_to(W, X.shape)
         step = ws.cols // T
@@ -335,21 +457,22 @@ def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
             q = _forward_batch(model, X[lo : lo + step], ws)
             m = q.shape[0]
             cols = m * T
-            diff = Y[lo : lo + step] - q
-            w = W[lo : lo + step]
-            loss += float(np.sum(w * np.where(diff >= 0, theta * diff, (theta - 1.0) * diff)))
-            # left-branch subgradient at the kink: diff == 0 takes the theta branch
-            dact = (np.where(diff >= 0, -theta, 1.0 - theta) * w / n).reshape(1, cols)
+            part, dact = _pinball_terms(Y[lo : lo + step] - q, W[lo : lo + step], theta, n)
+            loss += part
+            dact = dact.reshape(1, cols)
+            if heads is not None:
+                for layer, shared in zip(layers[1:], ws.shared[1:]):
+                    shared[: layer.in_channels * cols] = 0.0
+                for few in np.array_split(heads, -(-heads.size // ws.prefix_group)):
+                    loss += _prefix_step(model, few, Y[0], n, ws, first)
+                    first = False
             for i in range(len(layers) - 1, -1, -1):
                 layer = layers[i]
                 k, cin = layer.kernel_size, layer.in_channels
                 if layer.activation == RECTIFIER:
                     np.multiply(dact, ws.out[i] > 0, out=dact)
                 xin = ws.xin[i]
-                if first:
-                    np.matmul(dact, xin.T, out=ws.grad[i])
-                else:
-                    ws.grad[i] += dact @ xin.T
+                _add_grad(ws, i, dact, xin, first)
                 if i == 0:
                     break
                 # one flat row per tap, so that the fold below adds contiguous runs
@@ -364,6 +487,8 @@ def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
                     if lag < T:
                         dx[j].reshape(cin * m, T)[:, :lag] = 0.0
                         dprev[:-lag] += dx[j, lag:]
+                if heads is not None:
+                    dprev += ws.shared[i][: cin * cols]
                 dact = dprev.reshape(cin, cols)
             first = False
     # copies, never views of ws.grad, which the next call on ws overwrites
@@ -400,6 +525,12 @@ def _step_blocks(idx, days, group, start, T, R, cols):
     pass weights each day by the windows covering it there. Windows of at
     most R-1 positions always run whole. Passes longer than `cols` are cut
     into chunks overlapping by R-1 columns, the overlap weighted zero.
+
+    Blocks are (X, Y, W, heads) for _loss_and_grads: the whole windows
+    first, with no heads, then one single-sequence block per chunk. Its
+    heads are the columns at which the split windows that start in its first
+    cols-(R-1) columns begin; positions 0..R-2 of those windows lie inside
+    the chunk, and their prefix reads that chunk's pass.
     """
     g, s = group[idx], start[idx]
     k = np.bincount(g)
@@ -412,10 +543,8 @@ def _step_blocks(idx, days, group, start, T, R, cols):
     rows = np.lib.stride_tricks.sliding_window_view(days, T)
     blocks = []
     if not on.all():
-        blocks.append((rows[s[~on]], rows[s[~on] + 1], 1.0))
-    if not on.any():
-        return blocks
-    blocks.append((rows[s[on], : R - 1], rows[s[on] + 1, : R - 1], 1.0))
+        blocks.append((rows[s[~on]], rows[s[~on] + 1], 1.0, None))
+    stride = cols - (R - 1)
     for a in np.flatnonzero(split):
         part, length = days[lo[a] :], hi[a] - lo[a]
         first = s[g == a] - lo[a]
@@ -424,11 +553,13 @@ def _step_blocks(idx, days, group, start, T, R, cols):
         )
         weight = np.cumsum(cover[:length]).astype(float)
         # a chunk starts R-1 columns before the previous one ends
-        for begin in range(0, length - (R - 1), cols - (R - 1)):
+        for begin in range(0, length - (R - 1), stride):
             end = min(begin + cols, length)
             w = weight[None, begin:end].copy()
             w[:, : R - 1] = 0.0
-            blocks.append((part[None, begin:end], part[None, begin + 1 : end + 1], w))
+            heads = first[first // stride == begin // stride] - begin
+            X, Y = part[None, begin:end], part[None, begin + 1 : end + 1]
+            blocks.append((X, Y, w, heads if heads.size else None))
     return blocks
 
 
@@ -464,7 +595,7 @@ def backward(model: QcnnModel, x, y) -> list[np.ndarray]:
     Y = _as_batch(y)
     if X.shape != Y.shape:
         raise ShapeError(f"input {X.shape} and target {Y.shape} lengths differ")
-    _, grads = _loss_and_grads(model, [(X, Y, 1.0)], X.size, _Workspace(model, X.shape[1]))
+    _, grads = _loss_and_grads(model, [(X, Y, 1.0, None)], X.size, _Workspace(model, X.shape[1]))
     return grads
 
 
@@ -529,8 +660,10 @@ def train(
     Initialization and epoch shuffling both draw from one seeded generator.
     Batches of cfg.batch_size are cut from a fresh permutation each epoch and
     a final partial batch is used as-is. Each step minimizes the batch-mean
-    pinball loss; where a batch's windows overlap enough, part of it is
-    computed by one pass over their asset's series (see _step_blocks).
+    pinball loss; where a batch's windows overlap enough, they are computed
+    by one pass over their asset's series plus, for each window, only the
+    positions of each layer that its zero padding reaches (see _step_blocks
+    and _prefix_step).
     """
     n, T = len(windows), windows.window
     if n == 0:

@@ -215,6 +215,23 @@ class TestRunExperiment:
         assert payload["assets"] == ["asset0", "asset1"]
         assert [(s["asset"], s["stage"]) for s in payload["skipped"]] == [("short", "load")]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_star_asset_id_is_a_load_skip(self, tmp_path, workers):
+        # "*" names a joint model's whole-level skip, so no file may take it
+        write_price_csv(sim_series(7, n=90), tmp_path / "*.csv")
+        for name, seed in (("a1", 8), ("a2", 9)):
+            write_price_csv(sim_series(seed), tmp_path / f"{name}.csv")
+        (tmp_path / "assets.txt").write_text("*.csv\na1.csv\na2.csv\n")
+        cfg = fast_cfg(tmp_path, methods=("constant", "garch"), window=16, workers=workers)
+        run_experiment(cfg)
+        payload = json.loads((cfg.output_dir / "run_manifest.json").read_text())
+        assert payload["assets"] == ["a1", "a2"]
+        assert [(s["asset"], s["stage"], s["error"]) for s in payload["skipped"]] == [
+            ("*", "load", "DomainError")
+        ]
+        rows = (cfg.output_dir / "results_garch_theta0.05.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["a1", "a2"]
+
     def test_sample_size_is_seeded(self, tmp_path):
         manifest = write_panel(tmp_path, n_assets=5)
         chosen = []

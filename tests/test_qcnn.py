@@ -273,7 +273,7 @@ class TestTrainingKernel:
         X = rng.standard_normal((batch, time))
         Y = rng.standard_normal((batch, time))
         ws = _Workspace(model, max(time, SUB_BATCH_COLUMNS))
-        loss, grads = _loss_and_grads(model, [(X, Y, 1.0)], X.size, ws)
+        loss, grads = _loss_and_grads(model, [(X, Y, 1.0, None)], X.size, ws)
 
         share = time / X.size
         per_sequence = [backward(model, x, y) for x, y in zip(X, Y)]
@@ -290,9 +290,9 @@ class TestTrainingKernel:
         model = build_model(0.05, rng=rng)
         ws = _Workspace(model, SUB_BATCH_COLUMNS)
         X, Y = rng.standard_normal((2, 4, 128))
-        _, grads = _loss_and_grads(model, [(X, Y, 1.0)], X.size, ws)
+        _, grads = _loss_and_grads(model, [(X, Y, 1.0, None)], X.size, ws)
         kept = [g.copy() for g in grads]
-        _loss_and_grads(model, [(Y, X, 1.0)], X.size, ws)
+        _loss_and_grads(model, [(Y, X, 1.0, None)], X.size, ws)
         for got, expected in zip(grads, kept):
             assert np.array_equal(got, expected)
 
@@ -325,6 +325,13 @@ class TestTwoPassStep:
     @example(assets=2, window=128, stride=1, extra=1500, seed=2, **FULL_BATCH)
     @example(assets=20, window=128, stride=1, extra=1500, seed=3, **FULL_BATCH)
     @example(assets=2, window=100, stride=2, extra=600, batch=64, cols=200, seed=4)
+    # edges of the prefix's gathers and scatters: a window of R never splits,
+    # one of R + 1 just does; two abutting series with every start in the
+    # batch, their first and last included; spans over many short chunks
+    @example(assets=1, window=64, stride=1, extra=100, batch=160, cols=2048, seed=5)
+    @example(assets=1, window=65, stride=1, extra=150, batch=160, cols=2048, seed=6)
+    @example(assets=2, window=100, stride=2, extra=400, batch=160, cols=2048, seed=7)
+    @example(assets=1, window=80, stride=1, extra=400, batch=160, cols=100, seed=8)
     def test_matches_per_window_kernel(self, assets, window, stride, extra, batch, cols, seed):
         # the two-pass step must give the per-window kernel's batch-mean loss
         # and gradients, and take the split exactly where it costs fewer columns
@@ -342,7 +349,8 @@ class TestTwoPassStep:
 
         blocks = _step_blocks(idx, *_concat_series(windows), window, R, ws.cols)
         loss, grads = _loss_and_grads(model, blocks, n, ws)
-        ref_loss, ref_grads = _loss_and_grads(model, [(inputs[idx], targets[idx], 1.0)], n, ws)
+        whole_batch = [(inputs[idx], targets[idx], 1.0, None)]
+        ref_loss, ref_grads = _loss_and_grads(model, whole_batch, n, ws)
         for got, expected in zip(grads, ref_grads):
             scale = max(float(np.max(np.abs(expected))), 1e-300)
             assert np.max(np.abs(got - expected)) <= 1e-12 * scale
@@ -367,8 +375,15 @@ class TestTwoPassStep:
             assert len(blocks) == 1
         if whole:
             assert np.array_equal(blocks[0][0], inputs[whole])
-        else:
-            assert blocks[0][0].shape == (idx.size, R - 1)
+            assert blocks[0][3] is None
+        # every split window's positions 0..R-2 ride on exactly one chunk of
+        # its asset's series pass, inside it
+        passes = blocks[1:] if whole else blocks
+        heads = [h for _, _, _, h in passes if h is not None]
+        assert sum(h.size for h in heads) == idx.size - len(whole)
+        for X, _, _, h in passes:
+            assert X.shape[0] == 1
+            assert h is None or h.max() + R - 1 <= X.shape[1]
 
 
 class TestAdadelta:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FitError, InsufficientDataError, ShapeError
+from .errors import DomainError, FitError, InsufficientDataError
 
 # ---------------------------------------------------------------------------
 # normal quantile
@@ -275,16 +275,6 @@ def fit_garch(train_returns) -> GarchParams:
         raise FitError(f"GARCH optimum rounds onto the parameter boundary: {exc}") from exc
 
 
-def garch_var(
-    params: GarchParams,
-    returns,
-    theta: float,
-    init_var: float | None = None,
-) -> float:
-    """One-step-ahead VaR given returns up to t: the last element of garch_var_path."""
-    return float(garch_var_path(params, returns, len(returns), theta, init_var)[-1])
-
-
 def garch_var_path(
     params: GarchParams,
     history,
@@ -364,19 +354,6 @@ def fit_linear_qr(train_returns, theta: float, lags: int = QR_LAGS) -> QrCoeffic
         raise FitError(f"quantile regression LP failed: {result.message}")
     beta = -result.eqlin.marginals
     return QrCoefficients(intercept=float(beta[0]), lag_weights=beta[1:], theta=theta)
-
-
-def linear_qr_var(coeffs: QrCoefficients, recent_returns) -> float:
-    """One-day VaR from the most recent `lags` returns, most recent first.
-
-    The last element of linear_qr_var_path over those returns.
-    """
-    recent = np.asarray(recent_returns, dtype=float)
-    if recent.shape != coeffs.lag_weights.shape:
-        raise ShapeError(
-            f"expected {coeffs.lag_weights.size} lagged returns, got {recent.size}"
-        )
-    return float(linear_qr_var_path(coeffs, recent[::-1], recent.size)[-1])
 
 
 def linear_qr_var_path(coeffs: QrCoefficients, history, start: int):

@@ -92,8 +92,9 @@ def build_parser() -> _Parser:
     run.add_argument("--manifest", type=Path, default=None)
     run.add_argument("--output-dir", type=Path, default=None)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--theta", default=None, help="comma-separated quantile levels")
-    run.add_argument("--methods", default=None, help=f"comma-separated subset of {','.join(ALL_METHODS)}")
+    run.add_argument("--theta", type=_parse_float_list, default=None, help="comma-separated quantile levels")
+    run.add_argument("--methods", type=_parse_str_list, default=None,
+                     help=f"comma-separated subset of {','.join(ALL_METHODS)}")
     run.add_argument("--sample-size", type=int, default=None, help="seeded draw of assets from the manifest")
     run.add_argument("--workers", type=int, default=None, help="worker processes (default: available parallelism)")
     run.add_argument("--epochs", type=int, default=None)
@@ -206,8 +207,8 @@ def experiment_config_from_args(args) -> ExperimentConfig:
     if output_dir is None:
         raise QvarError("an output directory is required (--output-dir or config)")
 
-    thetas = pick("experiment", "thetas", _parse_float_list(args.theta) if args.theta else None, "floats")
-    methods = pick("experiment", "methods", _parse_str_list(args.methods) if args.methods else None, "strs")
+    thetas = pick("experiment", "thetas", args.theta, "floats")
+    methods = pick("experiment", "methods", args.methods, "strs")
     train = TrainConfig(
         epochs=pick("train", "epochs", args.epochs, "int"),
         batch_size=pick("train", "batch_size", args.batch_size, "int"),

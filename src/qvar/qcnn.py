@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DEFAULT_WINDOW, Scaler, WindowSet, invert_scaler
+from .data import Scaler, WindowSet, invert_scaler
 from .errors import DomainError, InsufficientDataError, ShapeError
 
 RECTIFIER = "rectifier"
@@ -206,63 +206,77 @@ def causal_conv_forward(x, layer: ConvLayer):
 SUB_BATCH_COLUMNS = 2048
 
 
+class _Buffers:
+    """Per-layer buffers for up to size[i] columns of layer i, viewed by lay.
+
+    lay(model, m, widths) views them for m sequences in which layer i
+    computes positions 0..widths[i]-1, position-major: column t*m + w holds
+    position t of sequence w, so a lag of d positions is a shift of d*m
+    columns that never crosses into another sequence. Layer i reads xin[i],
+    shape (k*cin + 1, widths[i]*m): its k taps, oldest first and the current
+    one last, then a constant row of ones that adds the bias through the
+    matmul with wfull[i] = [weights by tap | biases]. It writes its output
+    straight into out[i], the first widths[i]*m columns of layer i+1's
+    current tap (the head writes into q), so a rectifier layer's activations
+    are the next layer's current tap. Where layer i+1 has no more positions,
+    out[i] is its whole current tap and stays contiguous: numpy's elementwise
+    loops run about three times slower on a column slice of a wider buffer.
+    The first lag*m columns of a lagged tap are zeroed by lay and never written.
+    """
+
+    def __init__(self, model: QcnnModel, size: list[int]):
+        self.shape = None
+        taps = [l.kernel_size * l.in_channels for l in model.layers]
+        self.flat = [np.empty((kc + 1) * c) for kc, c in zip(taps, size)]
+        self.dx = [np.empty(kc * c) for kc, c in zip(taps, size)]
+        self.q = np.empty(size[-1])
+
+    def lay(self, model: QcnnModel, m: int, widths: tuple[int, ...]) -> None:
+        """View the buffers for m sequences of these widths (a no-op if they already are)."""
+        if self.shape == (m, widths):
+            return
+        self.xin: list[np.ndarray] = []
+        self.cur: list[np.ndarray] = []
+        for layer, n, flat in zip(model.layers, widths, self.flat):
+            k, cin = layer.kernel_size, layer.in_channels
+            xin = flat[: (k * cin + 1) * n * m].reshape(k * cin + 1, n * m)
+            xin[-1] = 1.0
+            for j in range(k - 1):
+                xin[j * cin : (j + 1) * cin, : (k - 1 - j) * layer.dilation * m] = 0.0
+            self.xin.append(xin)
+            self.cur.append(xin[(k - 1) * cin : k * cin])
+        self.out = [cur[:, : n * m] for cur, n in zip(self.cur[1:], widths)]
+        self.out.append(self.q[: widths[-1] * m].reshape(1, -1))
+        self.shape = (m, widths)
+
+
 class _Workspace:
-    """Preallocated buffers for sub-batches of up to `cols` sequence positions.
+    """Preallocated buffers for sub-batches of up to `cols` sequence positions,
+    reused across training steps and sequence lengths.
 
-    A sub-batch of sequences of length T <= cols holds cols // T of them;
-    the buffers are reused across training steps and sequence lengths.
-
-    lay_out(model, m, T) views them for a sub-batch of m sequences of length
-    T, contiguously: numpy's elementwise loops run about three times slower
-    on a column slice of a wider buffer. Layer i then reads xin[i], shape
-    (k*cin + 1, m*T): its k taps, oldest first and the current one last, then
-    a constant row of ones that adds the bias through the matmul with
-    wfull[i] = [weights by tap | biases]. Each layer writes its output
-    straight into out[i], the next layer's current-tap rows (the head writes
-    into q), so a rectifier layer's activations are the next layer's
-    current tap. The first `lag` positions of each sequence in a lagged tap
-    are zeroed by lay_out and never written.
-
-    The prefix of a two-pass step (see _step_blocks) has buffers of its own,
-    so that the series pass's activations outlive it. Layer i's output in a
-    zero-padded window differs from the series pass's only at positions
-    0..reach[i]-1. The prefix runs in groups of at most prefix_group
-    windows, which compute no more layer-columns than a sub-batch.
-    lay_prefix(model, m) views pxin[i], shape (k*cin + 1, reach[i]*m),
-    position-major: column t*m + w holds position t of window w, so a lag of
-    d positions is a shift of d*m columns. Layer i writes its output into
-    pout[i], the first reach[i]*m columns of layer i+1's current tap (the
-    head writes into pq). shared[i] collects the prefix's gradient on the
-    series pass's input to layer i, laid out like that input's (cin, cols)
-    rows.
+    wfull[i] holds layer i's packed parameters [weights by tap | biases] and
+    grad[i] their gradient. `main` runs whole windows and series passes: a
+    sub-batch of sequences of length T <= cols holds cols // T of them, and
+    every layer computes all T positions. `prefix` runs the prefix of a
+    two-pass step (see _step_blocks) and keeps the series pass's activations
+    in `main` alive. Layer i's output in a zero-padded window differs from
+    the series pass's only at positions 0..reach[i]-1, so there layer i
+    computes reach[i] positions. The prefix runs in groups of at most
+    prefix_group windows, which compute no more layer-columns than a
+    sub-batch. shared[i] collects the prefix's gradient on the series pass's
+    input to layer i, laid out like that input's (cin, cols) rows.
     """
 
     def __init__(self, model: QcnnModel, cols: int):
+        layers = model.layers
         self.cols = cols
-        self.shape = None
-        self.flat: list[np.ndarray] = []
-        self.wfull: list[np.ndarray] = []
-        self.grad: list[np.ndarray] = []
-        self.dx: list[np.ndarray] = []
-        for layer in model.layers:
-            k, cin, cout = layer.kernel_size, layer.in_channels, layer.out_channels
-            self.flat.append(np.empty((k * cin + 1) * cols))
-            self.wfull.append(np.empty((cout, k * cin + 1)))
-            self.grad.append(np.empty((cout, k * cin + 1)))
-            self.dx.append(np.empty(k * cin * cols))
-        self.q = np.empty(cols)
-        self.reach = np.cumsum([l.dilation * (l.kernel_size - 1) for l in model.layers]).tolist()
-        self.prefix_group = max(len(model.layers) * cols // max(sum(self.reach), 1), 1)
-        self.prefix_windows = None
-        self.pflat: list[np.ndarray] = []
-        self.pdx: list[np.ndarray] = []
-        self.shared: list[np.ndarray] = []
-        for layer, n in zip(model.layers, self.reach):
-            k, cin = layer.kernel_size, layer.in_channels
-            self.pflat.append(np.empty((k * cin + 1) * n * self.prefix_group))
-            self.pdx.append(np.empty(k * cin * n * self.prefix_group))
-            self.shared.append(np.empty(cin * cols))
-        self.pq = np.empty(self.reach[-1] * self.prefix_group)
+        self.wfull = [np.empty((l.out_channels, l.kernel_size * l.in_channels + 1)) for l in layers]
+        self.grad = [np.empty_like(w) for w in self.wfull]
+        self.reach = tuple(np.cumsum([l.dilation * (l.kernel_size - 1) for l in layers]).tolist())
+        self.prefix_group = max(len(layers) * cols // max(sum(self.reach), 1), 1)
+        self.shared = [np.empty(l.in_channels * cols) for l in layers]
+        self.main = _Buffers(model, [cols] * len(layers))
+        self.prefix = _Buffers(model, [n * self.prefix_group for n in self.reach])
 
     def pack(self, model: QcnnModel) -> None:
         """Copy the model's current parameters into wfull."""
@@ -271,76 +285,42 @@ class _Workspace:
             w[:, :-1] = layer.weights.transpose(0, 2, 1).reshape(cout, k * cin)
             w[:, -1] = layer.biases
 
-    def lay_out(self, model: QcnnModel, m: int, T: int) -> None:
-        """View the buffers for m sequences of length T (a no-op if they already are)."""
-        if self.shape == (m, T):
-            return
-        cols = m * T
-        self.xin: list[np.ndarray] = []
-        self.cur: list[np.ndarray] = []
-        for layer, flat in zip(model.layers, self.flat):
-            k, cin = layer.kernel_size, layer.in_channels
-            xin = flat[: (k * cin + 1) * cols].reshape(k * cin + 1, cols)
-            xin[-1] = 1.0
-            taps = xin[:-1].reshape(k, cin, m, T)
-            for j in range(k - 1):
-                taps[j, :, :, : (k - 1 - j) * layer.dilation] = 0.0
-            self.xin.append(xin)
-            self.cur.append(xin[(k - 1) * cin : k * cin])
-        self.out = [*self.cur[1:], self.q[:cols].reshape(1, cols)]
-        self.shape = (m, T)
 
-    def lay_prefix(self, model: QcnnModel, m: int) -> None:
-        """View the prefix buffers for m <= prefix_group windows (a no-op if they already are)."""
-        if self.prefix_windows == m:
-            return
-        self.pxin: list[np.ndarray] = []
-        self.pcur: list[np.ndarray] = []
-        for layer, n, flat in zip(model.layers, self.reach, self.pflat):
-            k, cin = layer.kernel_size, layer.in_channels
-            xin = flat[: (k * cin + 1) * n * m].reshape(k * cin + 1, n * m)
-            xin[-1] = 1.0
-            for j in range(k - 1):
-                xin[j * cin : (j + 1) * cin, : (k - 1 - j) * layer.dilation * m] = 0.0
-            self.pxin.append(xin)
-            self.pcur.append(xin[(k - 1) * cin : k * cin])
-        self.pout = [cur[:, : n * m] for cur, n in zip(self.pcur[1:], self.reach)]
-        self.pout.append(self.pq[: self.reach[-1] * m].reshape(1, -1))
-        self.prefix_windows = m
+def _forward(model, ws, buf, m, widths, x=None, stable=False, at=None) -> np.ndarray:
+    """Forward m sequences through buf, laid out for widths; returns the head's (1, widths[-1]*m).
 
-
-def _forward_batch(
-    model: QcnnModel, X: np.ndarray, ws: _Workspace, stable: bool = False
-) -> np.ndarray:
-    """Forward up to ws.cols // T single-channel sequences X (m, T); returns (m, T).
-
-    Reads the parameters packed by ws.pack. With stable=True the channel
-    reduction runs through einsum, whose per-column summation order does
-    not depend on the sequence length, so outputs at a given position are
-    bitwise identical no matter how much future input follows; prediction
-    uses it. Training uses BLAS matmul, which may flip last bits in the
-    final columns when lengths differ.
+    The input is x, shape (m, widths[0]), or with `at`, gathered from
+    ws.main: from position widths[i-1] on (every position for layer 0),
+    column c of layer i's input is column at[c] of the main pass's input to
+    layer i. Reads the parameters packed by ws.pack. With stable=True the
+    channel reduction runs through einsum, whose per-column summation order
+    does not depend on the sequence length, so outputs at a given position
+    are bitwise identical no matter how much future input follows;
+    prediction uses it. Training uses BLAS matmul, which may flip last bits
+    in the final columns when lengths differ.
     """
-    m, T = X.shape
-    ws.lay_out(model, m, T)
-    ws.cur[0][:] = X.reshape(1, m * T)
-    for i, layer in enumerate(model.layers):
+    buf.lay(model, m, widths)
+    if x is not None:
+        buf.cur[0].reshape(-1, m)[:] = x.T
+    n0 = 0
+    for i, (layer, n1) in enumerate(zip(model.layers, widths)):
         k, cin = layer.kernel_size, layer.in_channels
-        xin = ws.xin[i]
-        taps = xin.reshape(-1, m, T)
-        cur = taps[(k - 1) * cin : k * cin]
+        xin, cur = buf.xin[i], buf.cur[i]
+        if at is not None:
+            cur[:, n0 * m : n1 * m] = np.take(ws.main.cur[i], at[n0 * m : n1 * m], axis=1)
         for j in range(k - 1):
             lag = (k - 1 - j) * layer.dilation
-            if lag < T:
-                taps[j * cin : (j + 1) * cin, :, lag:] = cur[:, :, :-lag]
-        out = ws.out[i]
+            if lag < n1:
+                xin[j * cin : (j + 1) * cin, lag * m :] = cur[:, : (n1 - lag) * m]
+        out = buf.out[i]
         if stable:
             np.einsum("oc,cn->on", ws.wfull[i], xin, out=out)
         else:
             np.matmul(ws.wfull[i], xin, out=out)
         if layer.activation == RECTIFIER:
             np.maximum(out, 0.0, out=out)
-    return ws.out[-1].reshape(m, T)
+        n0 = n1
+    return buf.out[-1]
 
 
 def pinball_loss(y, q, theta: float) -> float:
@@ -362,69 +342,50 @@ def _pinball_terms(diff, w, theta: float, n: int):
     return loss, np.where(diff >= 0, -theta, 1.0 - theta) * w / n
 
 
-def _add_grad(ws: _Workspace, i: int, dact: np.ndarray, xin: np.ndarray, first: bool) -> None:
-    """Layer i's weight gradient from dact, written on the first pass of a call, else added."""
-    if first:
-        np.matmul(dact, xin.T, out=ws.grad[i])
-    else:
-        ws.grad[i] += dact @ xin.T
+def _backward(model, ws, buf, m, widths, dact, first, at=None, shared=False) -> None:
+    """Backpropagate dact, the loss gradient on the head's output in buf, through every layer.
 
-
-def _prefix_step(model, heads, targets, n, ws, first) -> float:
-    """Pinball sum over positions 0..R-2 of the windows that start at columns
-    `heads` of the series pass in ws, divided by n, and its gradients.
-
-    Each layer computes only the positions where a zero-padded window
-    differs from the series pass. From position reach[i-1] on, layer i's
-    input is the series pass's, gathered from it with one take per layer.
-    Backward, the weight gradients go to ws.grad (written if `first`), and
-    the gradient on the gathered inputs is scattered into ws.shared with one
-    add.at per layer, for the series pass's backward to add.
+    Layer i's weight gradient goes to ws.grad[i], written if `first`, else
+    added. With `shared`, the gradient on each layer's input adds
+    ws.shared[i] before the mask of the layer that output it. With `at`
+    (see _forward), the gradient on the gathered columns is scattered into
+    ws.shared for the main pass's backward to add.
     """
-    layers, reach = model.layers, ws.reach
-    m = heads.size
-    width = ws.shape[1]  # of the series pass, a single sequence
-    ws.lay_prefix(model, m)
-    # column t*m + w is position t of window w; `at` is its series column
-    at = (np.arange(reach[-1])[:, None] + heads).ravel()
-    n0 = 0
-    for i, (layer, n1) in enumerate(zip(layers, reach)):
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[i]
         k, cin = layer.kernel_size, layer.in_channels
-        xin, cur = ws.pxin[i], ws.pcur[i]
-        cur[:, n0 * m : n1 * m] = np.take(ws.cur[i], at[n0 * m : n1 * m], axis=1)
-        for j in range(k - 1):
-            lag = (k - 1 - j) * layer.dilation
-            if lag < n1:
-                xin[j * cin : (j + 1) * cin, lag * m :] = cur[:, : (n1 - lag) * m]
-        out = ws.pout[i]
-        np.matmul(ws.wfull[i], xin, out=out)
+        cols = widths[i] * m
         if layer.activation == RECTIFIER:
-            np.maximum(out, 0.0, out=out)
-        n0 = n1
-    loss, dact = _pinball_terms(targets[at] - ws.pout[-1], 1.0, model.theta, n)
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        k, cin = layer.kernel_size, layer.in_channels
-        n1 = reach[i]
-        if layer.activation == RECTIFIER:
-            np.multiply(dact, ws.pout[i] > 0, out=dact)
-        _add_grad(ws, i, dact, ws.pxin[i], first)
+            np.multiply(dact, buf.out[i] > 0, out=dact)
+        if first:
+            np.matmul(dact, buf.xin[i].T, out=ws.grad[i])
+        else:
+            ws.grad[i] += dact @ buf.xin[i].T
         if i == 0:
             break
-        dx = ws.pdx[i][: k * cin * n1 * m].reshape(k, cin, n1 * m)
-        np.matmul(ws.wfull[i][:, :-1].T, dact, out=dx.reshape(k * cin, n1 * m))
+        # one flat row per tap, so that the fold below adds contiguous runs
+        dx = buf.dx[i][: k * cin * cols].reshape(k, cin * cols)
+        np.matmul(ws.wfull[i][:, :-1].T, dact, out=dx.reshape(k * cin, cols))
+        # fold the lagged taps back onto the previous layer's activations: zero
+        # each tap's gradient at its padded columns, then a single shifted add
+        # over the flattened rows carries the rest and adds only zeros across
+        # rows; an add over a 2-d column slice of the rows ran about 4x slower
         dprev = dx[k - 1]
         for j in range(k - 1):
-            lag = (k - 1 - j) * layer.dilation
-            if lag < n1:
-                dprev[:, : (n1 - lag) * m] += dx[j, :, lag * m :]
-        n0 = reach[i - 1]
-        # windows start at distinct columns, but one series column can be
-        # several windows' positions, so repeated indices must add up
-        spots = at[n0 * m : n1 * m] + width * np.arange(cin)[:, None]
-        np.add.at(ws.shared[i], spots.ravel(), dprev[:, n0 * m :].ravel())
-        dact = dprev[:, : n0 * m]
-    return loss
+            lag = (k - 1 - j) * layer.dilation * m
+            if lag < cols:
+                dx[j].reshape(cin, cols)[:, :lag] = 0.0
+                dprev[:-lag] += dx[j, lag:]
+        if shared:
+            dprev += ws.shared[i][: cin * cols]
+        dact = dprev.reshape(cin, cols)
+        if at is not None:
+            n0 = widths[i - 1] * m
+            # windows start at distinct columns, but one series column can be
+            # several windows' positions, so repeated indices must add up
+            spots = at[n0:cols] + ws.main.cur[i].shape[1] * np.arange(cin)[:, None]
+            np.add.at(ws.shared[i], spots.ravel(), dact[:, n0:].ravel())
+            dact = dact[:, :n0]
 
 
 def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
@@ -436,13 +397,13 @@ def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
     sum(W * pinball(Y - q)) / n over every block, plus, for each head h, the
     pinball sum over positions 0..R-2 of the zero-padded window starting at
     X[0, h] (see _step_blocks); W = 1 with n = X.size and no heads is the
-    batch mean. Blocks run forward and backward in consecutive sub-batches
-    of ws.cols // T sequences, and the sub-batch gradients are summed in
-    order. A block with heads runs in four parts: the series pass forward;
-    the prefix forward and backward (_prefix_step) for each group of at
-    most ws.prefix_group heads; then the series pass backward, which adds
-    the prefix's gradient on each layer's input before the mask of the
-    layer that output it.
+    batch mean. Blocks run forward and backward in ws.main, in consecutive
+    sub-batches of ws.cols // T sequences laid out position-major, and the
+    sub-batch gradients are summed in order. A block with heads runs in four
+    parts: the series pass forward; the prefix forward and backward in
+    ws.prefix for each group of at most ws.prefix_group heads; then the
+    series pass backward, which adds the prefix's gradient on each layer's
+    input before the mask of the layer that output it.
     """
     theta = model.theta
     layers = model.layers
@@ -451,45 +412,29 @@ def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
     first = True
     for X, Y, W, heads in blocks:
         T = X.shape[1]
+        widths = (T,) * len(layers)
         W = np.broadcast_to(W, X.shape)
         step = ws.cols // T
         for lo in range(0, len(X), step):
-            q = _forward_batch(model, X[lo : lo + step], ws)
-            m = q.shape[0]
-            cols = m * T
-            part, dact = _pinball_terms(Y[lo : lo + step] - q, W[lo : lo + step], theta, n)
+            rows = slice(lo, lo + step)
+            m = len(X[rows])
+            q = _forward(model, ws, ws.main, m, widths, x=X[rows])
+            # transposed like q: row t holds position t of every sequence
+            part, dact = _pinball_terms(Y[rows].T - q.reshape(T, m), W[rows].T, theta, n)
             loss += part
-            dact = dact.reshape(1, cols)
             if heads is not None:
                 for layer, shared in zip(layers[1:], ws.shared[1:]):
-                    shared[: layer.in_channels * cols] = 0.0
+                    shared[: layer.in_channels * T] = 0.0
                 for few in np.array_split(heads, -(-heads.size // ws.prefix_group)):
-                    loss += _prefix_step(model, few, Y[0], n, ws, first)
+                    # column t*m + w is position t of window w; `at` is its series column
+                    at = (np.arange(ws.reach[-1])[:, None] + few).ravel()
+                    q = _forward(model, ws, ws.prefix, few.size, ws.reach, at=at)
+                    part, pdact = _pinball_terms(Y[0, at] - q, 1.0, theta, n)
+                    loss += part
+                    _backward(model, ws, ws.prefix, few.size, ws.reach, pdact, first, at=at)
                     first = False
-            for i in range(len(layers) - 1, -1, -1):
-                layer = layers[i]
-                k, cin = layer.kernel_size, layer.in_channels
-                if layer.activation == RECTIFIER:
-                    np.multiply(dact, ws.out[i] > 0, out=dact)
-                xin = ws.xin[i]
-                _add_grad(ws, i, dact, xin, first)
-                if i == 0:
-                    break
-                # one flat row per tap, so that the fold below adds contiguous runs
-                dx = ws.dx[i][: k * cin * cols].reshape(k, cin * cols)
-                np.matmul(ws.wfull[i][:, :-1].T, dact, out=dx.reshape(k * cin, cols))
-                # fold the lagged taps back onto the previous layer's activations:
-                # zero each tap's gradient at its padded positions, then a single
-                # shifted add carries the rest and adds only zeros across sequences
-                dprev = dx[k - 1]
-                for j in range(k - 1):
-                    lag = (k - 1 - j) * layer.dilation
-                    if lag < T:
-                        dx[j].reshape(cin * m, T)[:, :lag] = 0.0
-                        dprev[:-lag] += dx[j, lag:]
-                if heads is not None:
-                    dprev += ws.shared[i][: cin * cols]
-                dact = dprev.reshape(cin, cols)
+            dact = dact.reshape(1, -1)
+            _backward(model, ws, ws.main, m, widths, dact, first, shared=heads is not None)
             first = False
     # copies, never views of ws.grad, which the next call on ws overwrites
     grads: list[np.ndarray] = []
@@ -586,7 +531,8 @@ def forward(model: QcnnModel, x):
         X = np.concatenate([X, np.zeros((1, 1))], axis=1)
     ws = _Workspace(model, X.shape[1])
     ws.pack(model)
-    return _forward_batch(model, X, ws, stable=True)[:, :T]
+    widths = (X.shape[1],) * len(model.layers)
+    return _forward(model, ws, ws.main, 1, widths, x=X, stable=True)[:, :T]
 
 
 def backward(model: QcnnModel, x, y) -> list[np.ndarray]:
@@ -663,7 +609,8 @@ def train(
     pinball loss; where a batch's windows overlap enough, they are computed
     by one pass over their asset's series plus, for each window, only the
     positions of each layer that its zero padding reaches (see _step_blocks
-    and _prefix_step).
+    and _loss_and_grads). Every pass, whole windows included, runs through
+    the same forward and backward layer loop in one position-major layout.
     """
     n, T = len(windows), windows.window
     if n == 0:
@@ -699,21 +646,6 @@ def predict_var_series(model: QcnnModel, scaled_history, scaler: Scaler, start: 
         raise DomainError(f"start index {start} outside (0, {scaled.size}]")
     q = forward(model, scaled)[0]
     return -invert_scaler(q[start - 1 :], scaler)
-
-
-def predict_var(model: QcnnModel, recent_scaled, scaler: Scaler, window: int = DEFAULT_WINDOW) -> float:
-    """One-day-ahead VaR from the last `window` scaled returns.
-
-    The last element of predict_var_series over them: -(the quantile
-    forecast at the last position, unscaled); the value can come out
-    negative when the forecast return quantile is positive.
-    """
-    recent = np.asarray(recent_scaled, dtype=float)
-    if recent.ndim == 2 and recent.shape[0] == 1:
-        recent = recent[0]
-    if recent.shape != (window,):
-        raise ShapeError(f"expected the last {window} scaled returns, got shape {recent.shape}")
-    return float(predict_var_series(model, recent, scaler, window)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,12 @@ from qvar.baselines import (
     fit_garch,
     fit_linear_qr,
     garch_loglik,
-    garch_var,
     garch_var_path,
     garch_variance_path,
     gaussian_quantile,
-    linear_qr_var,
     linear_qr_var_path,
 )
-from qvar.errors import DomainError, FitError, InsufficientDataError, ShapeError
+from qvar.errors import DomainError, FitError, InsufficientDataError
 from qvar.synthlab import GARCH11, SimSpec, simulate
 
 
@@ -205,12 +203,12 @@ class TestGarch:
         # unit sigma forecast: omega = 1, alpha = beta = 0 gives sigma[t+1] = 1
         p = GarchParams(omega=1.0, alpha=0.0, beta=0.0, mu=0.0)
         history = np.zeros(10)
-        assert garch_var(p, history, 0.05) == pytest.approx(1.6448536269514722, abs=1e-9)
-        assert garch_var(p, history, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert garch_var_path(p, history, 10, 0.05)[-1] == pytest.approx(1.6448536269514722, abs=1e-9)
+        assert garch_var_path(p, history, 10, 0.5)[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_var_vanishing_sigma_limit(self):
         p = GarchParams(omega=1e-12, alpha=0.0, beta=0.0, mu=0.0)
-        assert abs(garch_var(p, np.zeros(10), 0.05)) < 1e-5
+        assert abs(garch_var_path(p, np.zeros(10), 10, 0.05)[-1]) < 1e-5
 
     def test_var_path_matches_pointwise(self):
         rng = np.random.default_rng(13)
@@ -283,16 +281,11 @@ class TestLinearQr:
 
     def test_var_examples(self):
         zero = QrCoefficients(intercept=0.0, lag_weights=np.zeros(4), theta=0.05)
-        assert linear_qr_var(zero, np.zeros(4)) == 0.0
+        assert linear_qr_var_path(zero, np.zeros(4), 4)[-1] == 0.0
         flat = QrCoefficients(intercept=-0.02, lag_weights=np.zeros(4), theta=0.05)
-        assert linear_qr_var(flat, np.array([0.1, -0.3, 0.2, 0.0])) == pytest.approx(0.02)
+        assert linear_qr_var_path(flat, np.array([0.0, 0.2, -0.3, 0.1]), 4)[-1] == pytest.approx(0.02)
         slope = QrCoefficients(intercept=-0.01, lag_weights=np.array([0.5, 0, 0, 0]), theta=0.05)
-        assert linear_qr_var(slope, np.array([-0.02, 0.5, -0.7, 0.1])) == pytest.approx(0.02)
-
-    def test_var_wrong_lag_count(self):
-        c = QrCoefficients(intercept=0.0, lag_weights=np.zeros(4), theta=0.05)
-        with pytest.raises(ShapeError):
-            linear_qr_var(c, np.zeros(3))
+        assert linear_qr_var_path(slope, np.array([0.1, -0.7, 0.5, -0.02]), 4)[-1] == pytest.approx(0.02)
 
     def test_var_path_uses_preceding_lags(self):
         rng = np.random.default_rng(23)

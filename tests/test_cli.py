@@ -55,6 +55,12 @@ class TestExitCodes:
             main(["run", "--no-such-flag"])
         assert exc.value.code == 1
 
+    def test_unparsable_theta_is_exit_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--theta", "abc"])
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
     def test_no_subcommand_is_exit_1(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -161,11 +167,16 @@ class TestRun:
         "flags, config_line, named",
         [
             (["--theta", ","], None, "thetas"),
+            (["--theta", ""], None, "thetas"),
+            (["--methods", ""], None, "methods"),
             ([], "thetas = ,", "thetas"),
             (["--theta", "0.05,0.01,0.05"], None, "thetas"),
             (["--methods", "constant,linear_qr,constant"], None, "methods"),
         ],
-        ids=["empty-theta-flag", "empty-theta-config", "repeated-theta", "repeated-method"],
+        ids=[
+            "empty-theta-flag", "blank-theta-flag", "blank-methods-flag",
+            "empty-theta-config", "repeated-theta", "repeated-method",
+        ],
     )
     def test_empty_or_repeated_list_rejected(self, tmp_path, capsys, flags, config_line, named):
         manifest = write_panel(tmp_path, n_assets=1)

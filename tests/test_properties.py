@@ -19,10 +19,8 @@ from qvar.baselines import (
     QrCoefficients,
     fit_garch,
     fit_linear_qr,
-    garch_var,
     garch_var_path,
     garch_variance_path,
-    linear_qr_var,
     linear_qr_var_path,
 )
 from qvar.cli import main
@@ -36,7 +34,7 @@ from qvar.data import (
 )
 from qvar.errors import DomainError, QvarError
 from qvar.harness import ALL_METHODS
-from qvar.qcnn import build_model, predict_var, predict_var_series
+from qvar.qcnn import build_model, predict_var_series
 from qvar.synthlab import IID_NORMAL, SimSpec, simulate, write_price_csv
 
 THETAS = (0.05, 0.01, 0.001)
@@ -68,7 +66,6 @@ def test_garch_path_contract(case, theta, alpha, beta, init_var):
     path = garch_var_path(p, h, start, theta, init_var)
     assert path.shape == (h.size - start + 1,)
     assert np.array_equal(garch_var_path(p, h[:cut], start, theta, init_var), path[: cut - start + 1])
-    assert garch_var(p, h[:cut], theta, init_var) == path[cut - start]
 
 
 def variance_loop(returns, params, init_var):
@@ -132,7 +129,6 @@ def test_linear_qr_path_contract(case, intercept, weights):
     path = linear_qr_var_path(c, h, start)
     assert path.shape == (h.size - start + 1,)
     assert np.array_equal(linear_qr_var_path(c, h[:cut], start), path[: cut - start + 1])
-    assert linear_qr_var(c, h[cut - QR_LAGS : cut][::-1]) == path[cut - start]
 
 
 @settings(max_examples=30, deadline=None)
@@ -150,7 +146,6 @@ def test_qcnn_path_contract(case, theta, model_seed, mean, std):
     path = predict_var_series(model, h, scaler, start)
     assert path.shape == (h.size - start + 1,)
     assert np.array_equal(predict_var_series(model, h[:cut], scaler, start), path[: cut - start + 1])
-    assert predict_var(model, h[:cut], scaler, window=cut) == path[cut - start]
 
 
 @st.composite

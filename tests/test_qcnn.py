@@ -23,7 +23,6 @@ from qvar.qcnn import (
     load_model,
     model_parameters,
     pinball_loss,
-    predict_var,
     predict_var_series,
     save_model,
     train,
@@ -263,6 +262,11 @@ class TestTrainingKernel:
     @example(batch=30, time=100, theta=0.05, seed=1)  # sub-batches of 20 and 10
     @example(batch=3, time=SUB_BATCH_COLUMNS + 1, theta=0.5, seed=2)
     @example(batch=1, time=1, theta=0.01, seed=3)
+    # edges of the position-major fold: the dilation-32 tap holds no column
+    # inside the window, then exactly one; one exactly full sub-batch
+    @example(batch=40, time=32, theta=0.05, seed=4)
+    @example(batch=40, time=33, theta=0.05, seed=5)
+    @example(batch=32, time=64, theta=0.05, seed=6)
     def test_batch_gradients_are_weighted_sequence_gradients(self, batch, time, theta, seed):
         # the sub-batched kernel must give the batch-mean loss and gradient:
         # each sequence's mean-loss gradient weighted by its share of elements
@@ -511,22 +515,17 @@ class TestPredict:
 
     def test_sign_flip_and_unscale(self):
         model = self.constant_output_model(-1.0)
-        var = predict_var(model, np.zeros(128), Scaler(mean=0.0, std=0.02))
+        var = predict_var_series(model, np.zeros(128), Scaler(mean=0.0, std=0.02), 128)[-1]
         assert var == pytest.approx(0.02)
 
     def test_zero_output(self):
         model = self.constant_output_model(0.0)
-        assert predict_var(model, np.zeros(128), Scaler(mean=0.0, std=1.0)) == 0.0
+        assert predict_var_series(model, np.zeros(128), Scaler(mean=0.0, std=1.0), 128)[-1] == 0.0
 
     def test_negative_quantile_with_mean(self):
         model = self.constant_output_model(-2.0)
-        var = predict_var(model, np.zeros(128), Scaler(mean=0.001, std=0.01))
+        var = predict_var_series(model, np.zeros(128), Scaler(mean=0.001, std=0.01), 128)[-1]
         assert var == pytest.approx(0.019)
-
-    def test_wrong_length(self):
-        model = self.constant_output_model(0.0)
-        with pytest.raises(ShapeError):
-            predict_var(model, np.zeros(100), Scaler(mean=0.0, std=1.0))
 
     def test_series_matches_windowed_prediction(self):
         model = build_model(0.05, seed=9)

@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 fit failure. Errors go
 to stderr, results to files or stdout. Every run flag has a config-file
-equivalent; flags override the config file, which overrides defaults.
+equivalent; flags override the config file, which overrides the defaults
+of ExperimentConfig and TrainConfig.
 """
 
 import argparse
 import configparser
+import dataclasses
 import logging
 import sys
 from collections import namedtuple
@@ -17,7 +19,6 @@ import numpy as np
 from .backtest import DEFAULT_HIT_LAGS, score_forecast
 from .baselines import GarchParams
 from .data import (
-    DEFAULT_WINDOW,
     load_prices,
     log_returns,
     open_input,
@@ -28,7 +29,6 @@ from .data import (
 from .errors import FitError, ParseError, QvarError
 from .harness import (
     ALL_METHODS,
-    DEFAULT_THETAS,
     ExperimentConfig,
     aggregate,
     run_experiment,
@@ -55,11 +55,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.replace(",", " ").split())
+    try:
+        return tuple(float(part) for part in text.replace(",", " ").split())
+    except ValueError:
+        message = f"expected comma-separated numbers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(part for part in text.replace(",", " ").split())
+
+
+def _parse_bool(text: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
 
 
 def build_parser() -> _Parser:
@@ -92,7 +100,8 @@ def build_parser() -> _Parser:
     run.add_argument("--manifest", type=Path, default=None)
     run.add_argument("--output-dir", type=Path, default=None)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--theta", type=_parse_float_list, default=None, help="comma-separated quantile levels")
+    run.add_argument("--theta", type=_parse_float_list, default=None, dest="thetas",
+                     metavar="THETA", help="comma-separated quantile levels")
     run.add_argument("--methods", type=_parse_str_list, default=None,
                      help=f"comma-separated subset of {','.join(ALL_METHODS)}")
     run.add_argument("--sample-size", type=int, default=None, help="seeded draw of assets from the manifest")
@@ -121,29 +130,31 @@ def build_parser() -> _Parser:
 # run config assembly
 # ---------------------------------------------------------------------------
 
-CONFIG_DEFAULTS = {
-    "experiment": {
-        "manifest": None,
-        "output_dir": None,
-        "thetas": DEFAULT_THETAS,
-        "methods": ALL_METHODS,
-        "seed": 0,
-        "sample_size": None,
-        "workers": None,
-        "write_series": False,
-    },
-    "train": {
-        "window": DEFAULT_WINDOW,
-        "stride": 1,
-        "epochs": 128,
-        "batch_size": 128,
-        "rho": 0.95,
-        "epsilon": 1e-6,
-    },
+# each config key: its section and the parser of its file value. A key is
+# also the name of the ExperimentConfig or TrainConfig field it sets and the
+# dest of its run flag; those dataclasses give every default.
+CONFIG_KEYS = {
+    "manifest": ("experiment", Path),
+    "output_dir": ("experiment", Path),
+    "thetas": ("experiment", _parse_float_list),
+    "methods": ("experiment", _parse_str_list),
+    "seed": ("experiment", int),
+    "sample_size": ("experiment", int),
+    "workers": ("experiment", int),
+    "write_series": ("experiment", _parse_bool),
+    "window": ("train", int),
+    "stride": ("train", int),
+    "epochs": ("train", int),
+    "batch_size": ("train", int),
+    "rho": ("train", float),
+    "epsilon": ("train", float),
 }
+# the seed of each task's TrainConfig is derived from the experiment seed
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
 
 
 def _load_config_file(path: Path) -> dict:
+    """The config file's non-blank values, parsed and keyed by config key."""
     with open_input(path, "config file") as fh:
         text = fh.read()
     # without interpolation a '%' in a value is a plain character
@@ -152,83 +163,37 @@ def _load_config_file(path: Path) -> dict:
         ini.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ParseError(f"{path}: {exc}") from None
-    out: dict = {"experiment": {}, "train": {}}
+    sections = {section for section, _ in CONFIG_KEYS.values()}
+    out = {}
     for section in ini.sections():
-        if section not in out:
+        if section not in sections:
             raise ParseError(f"{path}: unknown config section [{section}]")
         for key, value in ini.items(section):
-            if key not in CONFIG_DEFAULTS[section]:
+            if key not in CONFIG_KEYS or CONFIG_KEYS[key][0] != section:
                 raise ParseError(f"{path}: unknown key {key!r} in [{section}]")
             # an indented line continues the value above it
             if "\n" in value:
                 raise ParseError(f"{path}: value of {key!r} in [{section}] spans lines")
-            out[section][key] = value
+            if value == "":
+                continue
+            try:
+                out[key] = CONFIG_KEYS[key][1](value)
+            except (ValueError, KeyError, argparse.ArgumentTypeError) as exc:
+                raise QvarError(f"bad value for {key}: {value!r}") from exc
     return out
 
 
-def _coerce(name: str, raw, kind):
-    if raw is None or raw == "":
-        return None
-    if isinstance(raw, str):
-        try:
-            if kind == "int":
-                return int(raw)
-            if kind == "float":
-                return float(raw)
-            if kind == "bool":
-                return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-            if kind == "floats":
-                return _parse_float_list(raw)
-            if kind == "strs":
-                return _parse_str_list(raw)
-            if kind == "path":
-                return Path(raw)
-        except (ValueError, KeyError) as exc:
-            raise QvarError(f"bad value for {name}: {raw!r}") from exc
-    return raw
-
-
 def experiment_config_from_args(args) -> ExperimentConfig:
-    """Merge defaults, the optional config file, and command-line overrides."""
-    file_cfg = _load_config_file(args.config) if args.config else {"experiment": {}, "train": {}}
-
-    def pick(section, key, flag_value, kind):
-        if flag_value is not None:
-            return flag_value
-        value = _coerce(key, file_cfg[section].get(key), kind)
-        if value is not None:
-            return value
-        return CONFIG_DEFAULTS[section][key]
-
-    manifest = pick("experiment", "manifest", args.manifest, "path")
-    output_dir = pick("experiment", "output_dir", args.output_dir, "path")
-    if manifest is None:
+    """Merge the optional config file, then the flags given, over the defaults
+    of ExperimentConfig and TrainConfig."""
+    values = _load_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
+    if "manifest" not in values:
         raise QvarError("a manifest is required (--manifest or config [experiment] manifest)")
-    if output_dir is None:
+    if "output_dir" not in values:
         raise QvarError("an output directory is required (--output-dir or config)")
-
-    thetas = pick("experiment", "thetas", args.theta, "floats")
-    methods = pick("experiment", "methods", args.methods, "strs")
-    train = TrainConfig(
-        epochs=pick("train", "epochs", args.epochs, "int"),
-        batch_size=pick("train", "batch_size", args.batch_size, "int"),
-        rho=pick("train", "rho", None, "float"),
-        epsilon=pick("train", "epsilon", None, "float"),
-        seed=0,  # replaced per task from the experiment seed
-    )
-    return ExperimentConfig(
-        manifest=Path(manifest),
-        output_dir=Path(output_dir),
-        thetas=tuple(thetas),
-        methods=tuple(methods),
-        train=train,
-        window=pick("train", "window", args.window, "int"),
-        stride=pick("train", "stride", args.stride, "int"),
-        seed=pick("experiment", "seed", args.seed, "int"),
-        sample_size=pick("experiment", "sample_size", args.sample_size, "int"),
-        workers=pick("experiment", "workers", args.workers, "int"),
-        write_series=bool(pick("experiment", "write_series", args.write_series, "bool")),
-    )
+    train = TrainConfig(**{k: values.pop(k) for k in _TRAIN_KEYS & values.keys()})
+    return ExperimentConfig(train=train, **values)
 
 
 # ---------------------------------------------------------------------------

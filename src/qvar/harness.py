@@ -101,6 +101,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise DomainError(f"{name} must be >= 1, got {value}")
+        # derive_seed keys its hash with the seed's 8 unsigned bytes
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -422,22 +425,16 @@ def write_run_manifest(cfg: ExperimentConfig, assets: list[str], skips: list[dic
 
     from . import __version__
 
+    # every setting but the two that change no result
+    config = dataclasses.asdict(cfg)
+    del config["workers"], config["write_series"]
+    config.update(manifest=str(cfg.manifest), output_dir=str(cfg.output_dir))
     payload = {
         "qvar_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "config": {
-            "manifest": str(cfg.manifest),
-            "output_dir": str(cfg.output_dir),
-            "thetas": list(cfg.thetas),
-            "methods": list(cfg.methods),
-            "window": cfg.window,
-            "stride": cfg.stride,
-            "seed": cfg.seed,
-            "sample_size": cfg.sample_size,
-            "train": dataclasses.asdict(cfg.train),
-        },
+        "config": config,
         "assets": assets,
         # one documented order, whatever order the tasks ran in
         "skipped": sorted(skips, key=lambda s: (s["asset"], s["stage"], s["reason"])),

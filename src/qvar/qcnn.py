@@ -22,6 +22,9 @@ from .errors import DomainError, InsufficientDataError, ShapeError
 
 RECTIFIER = "rectifier"
 IDENTITY = "identity"
+HIDDEN_LAYERS = 6
+FILTERS = 8
+KERNEL_SIZE = 2
 
 CHECKPOINT_FORMAT = "qvar-qcnn"
 CHECKPOINT_VERSION = 1
@@ -116,12 +119,7 @@ class TrainConfig:
 
 
 def build_model(
-    theta: float,
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
-    hidden_layers: int = 6,
-    filters: int = 8,
-    kernel_size: int = 2,
+    theta: float, rng: np.random.Generator | None = None, seed: int = 0
 ) -> QcnnModel:
     """The reference architecture with seeded uniform(+-sqrt(6/(fan_in+fan_out))) weights.
 
@@ -132,16 +130,16 @@ def build_model(
         rng = np.random.default_rng(seed)
     layers = []
     in_ch = 1
-    for level in range(hidden_layers):
+    for level in range(HIDDEN_LAYERS):
         layers.append(
             ConvLayer(
-                weights=_glorot(rng, filters, in_ch, kernel_size),
-                biases=np.zeros(filters),
+                weights=_glorot(rng, FILTERS, in_ch, KERNEL_SIZE),
+                biases=np.zeros(FILTERS),
                 dilation=2**level,
                 activation=RECTIFIER,
             )
         )
-        in_ch = filters
+        in_ch = FILTERS
     head = ConvLayer(
         weights=_glorot(rng, 1, in_ch, 1),
         biases=np.zeros(1),
@@ -556,11 +554,11 @@ class AdadeltaState:
 
     sq_grad: list[np.ndarray]
     sq_update: list[np.ndarray]
-    rho: float = 0.95
-    epsilon: float = 1e-6
+    rho: float
+    epsilon: float
 
     @classmethod
-    def for_params(cls, params, rho: float = 0.95, epsilon: float = 1e-6) -> "AdadeltaState":
+    def for_params(cls, params, rho: float, epsilon: float) -> "AdadeltaState":
         return cls(
             sq_grad=[np.zeros_like(p) for p in params],
             sq_update=[np.zeros_like(p) for p in params],

@@ -1,11 +1,15 @@
+import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from qvar.baselines import GarchParams, constant_var
-from qvar.cli import main
+from qvar.cli import CONFIG_KEYS, build_parser, experiment_config_from_args, main
 from qvar.data import load_prices, log_returns
+from qvar.harness import ExperimentConfig
+from qvar.qcnn import TrainConfig
 from qvar.synthlab import GARCH11, SimSpec, simulate, write_price_csv
 
 
@@ -59,7 +63,9 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--theta", "abc"])
         assert exc.value.code == 1
-        assert "usage:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "argument --theta: expected comma-separated numbers, got 'abc'" in err
 
     def test_no_subcommand_is_exit_1(self):
         with pytest.raises(SystemExit) as exc:
@@ -188,6 +194,29 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_unparsable_config_theta_is_exit_2(self, tmp_path, capsys):
+        manifest = write_panel(tmp_path, n_assets=1)
+        cfg = write_config(tmp_path, manifest, tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace("thetas = 0.05", "thetas = abc"))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "bad value for thetas: 'abc'" in capsys.readouterr().err
+
+    # derive_seed keys its hash with 8 unsigned bytes; methods that derive no
+    # seed must reject such a seed too
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_seed_out_of_range_rejected(self, tmp_path, capsys, seed, form):
+        manifest = write_panel(tmp_path, n_assets=1)
+        out_dir = tmp_path / "out"
+        if form == "flag":
+            argv = ["--manifest", str(manifest), "--output-dir", str(out_dir),
+                    "--methods", "constant", "--window", "32", "--seed", str(seed)]
+        else:
+            argv = ["--config", str(write_config(tmp_path, manifest, out_dir, seed=seed))]
+        assert main(["run", *argv]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[experiment]\nbogus = 1\n")
@@ -231,6 +260,72 @@ class TestRun:
             (tmp_path.name, "load", "ParseError"),
             ("wide", "load", "ParseError"),
         ]
+
+
+def run_subparser():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices["run"]
+
+
+class TestRunSettings:
+    def test_run_flag_surface(self):
+        shown = [
+            (a.option_strings, None if a.nargs == 0 else a.metavar or a.dest.upper())
+            for a in run_subparser()._actions
+        ]
+        assert shown == [
+            (["-h", "--help"], None),
+            (["--config"], "CONFIG"),
+            (["--manifest"], "MANIFEST"),
+            (["--output-dir"], "OUTPUT_DIR"),
+            (["--seed"], "SEED"),
+            (["--theta"], "THETA"),
+            (["--methods"], "METHODS"),
+            (["--sample-size"], "SAMPLE_SIZE"),
+            (["--workers"], "WORKERS"),
+            (["--epochs"], "EPOCHS"),
+            (["--batch-size"], "BATCH_SIZE"),
+            (["--window"], "WINDOW"),
+            (["--stride"], "STRIDE"),
+            (["--write-series"], None),
+        ]
+
+    def test_keys_are_the_config_fields(self):
+        experiment = {f.name for f in fields(ExperimentConfig)}
+        train = {f.name for f in fields(TrainConfig)}
+        assert set(CONFIG_KEYS) <= experiment | train
+        # a task's training seed is derived from the experiment seed
+        assert set(CONFIG_KEYS) == (experiment - {"train"}) | (train - {"seed"})
+
+    def test_every_run_flag_sets_a_key(self):
+        dests = {a.dest for a in run_subparser()._actions} - {"help", "config"}
+        assert dests <= set(CONFIG_KEYS)
+
+    def test_defaults_come_from_the_dataclasses(self):
+        args = build_parser().parse_args(["run", "--manifest", "m.txt", "--output-dir", "o"])
+        assert experiment_config_from_args(args) == ExperimentConfig(
+            manifest=Path("m.txt"), output_dir=Path("o")
+        )
+
+    def test_manifest_config_is_pinned(self, tmp_path, capsys):
+        manifest = write_panel(tmp_path, n_assets=2)
+        out_dir = tmp_path / "out"
+        base = ["run", "--manifest", str(manifest), "--output-dir", str(out_dir),
+                "--methods", "constant", "--theta", "0.05", "--window", "32"]
+        written = []
+        for extra in ([], ["--write-series"], ["--workers", "1"], ["--workers", "2"]):
+            assert main(base + extra) == 0
+            written.append((out_dir / "run_manifest.json").read_bytes())
+        assert len(set(written)) == 1
+        config = json.loads(written[0])["config"]
+        assert set(config) == {
+            "manifest", "output_dir", "thetas", "methods", "window", "stride",
+            "seed", "sample_size", "train",
+        }
+        assert set(config["train"]) == {"epochs", "batch_size", "seed", "rho", "epsilon"}
+        assert config["manifest"] == str(manifest)
+        assert config["output_dir"] == str(out_dir)
 
 
 class TestBacktest:

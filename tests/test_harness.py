@@ -67,6 +67,13 @@ class TestDeriveSeed:
         assert a != derive_seed(7, "qcnn", "asset2", 0.05)
         assert a != derive_seed(8, "qcnn", "asset1", 0.05)
 
+    def test_seed_range_is_the_key_range(self, tmp_path):
+        for seed in (0, 2**64 - 1):
+            derive_seed(fast_cfg(tmp_path, seed=seed).seed, "asset-sample")
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError, match="seed"):
+                fast_cfg(tmp_path, seed=seed)
+
 
 class TestRunSingle:
     def test_constant_has_zero_variance(self, tmp_path):

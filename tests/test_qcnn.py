@@ -427,7 +427,7 @@ class TestAdadelta:
 
     def test_shape_mismatch(self):
         params = [np.zeros(3)]
-        state = AdadeltaState.for_params(params)
+        state = AdadeltaState.for_params(params, rho=0.95, epsilon=1e-6)
         with pytest.raises(ShapeError):
             adadelta_step(params, [np.zeros(2)], state)
 

@@ -9,6 +9,8 @@ distribution.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,15 +81,49 @@ def hits(returns, var, theta: float) -> HitSeries:
 # ---------------------------------------------------------------------------
 
 
-def chi2_sf(x: float, k: int) -> float:
-    """Upper-tail chi-square probability P(chi2_k > x)."""
-    from scipy.special import chdtrc
+_EXP_MINUS_512 = math.exp(-512.0)
 
-    if x < 0:
-        raise DomainError("chi-square statistic must be non-negative")
+
+def chi2_sf(x: float, k: int) -> float:
+    """Upper-tail chi-square probability P(chi2_k > x) for an integer k >= 1.
+
+    For integer k the tail is a finite sum. With y = x/2:
+      even k: exp(-y) * sum_{j < k/2} y^j / j!
+      odd k:  erfc(sqrt(y)) + exp(-y) * sum_{j < (k-1)/2} y^(j+1/2) / Gamma(j+3/2)
+    The terms are positive and summed in ascending order. exp(-y) is split
+    exactly into exp(-(y mod 512)) times exp(-512) per whole 512 in y, and a
+    factor exp(-512) is spent on the sum whenever its next term could pass
+    1e250, so no partial sum overflows and a tail too small for a double
+    comes out 0.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise DomainError(f"degrees of freedom must be an integer, got {k!r}")
     if k < 1:
         raise DomainError("degrees of freedom must be >= 1")
-    return float(chdtrc(k, x))
+    if not x >= 0:
+        raise DomainError("chi-square statistic must be non-negative")
+    y = 0.5 * float(x)
+    if y == math.inf:
+        return 0.0
+    if k % 2:
+        head, term, offset = math.erfc(math.sqrt(y)), 2.0 * math.sqrt(y / math.pi), 1.5
+    else:
+        head, term, offset = 0.0, 1.0, 1.0
+    spare = int(y // 512.0)
+    total = 0.0
+    for j in range(k // 2):
+        total += term
+        ratio = y / (j + offset)
+        while spare and term * ratio > 1e250:
+            total *= _EXP_MINUS_512
+            term *= _EXP_MINUS_512
+            spare -= 1
+        term *= ratio
+    total *= math.exp(-math.fmod(y, 512.0))
+    while spare and total:
+        total *= _EXP_MINUS_512
+        spare -= 1
+    return min(head + total, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -57,14 +57,13 @@ WHOLE_LEVEL = "*"
 
 DEFAULT_THETAS = (0.05, 0.01, 0.001)
 
-# the scipy modules a method's tasks import on first use; every task scores.
-# GARCH's variance recursion calls scipy.linalg's BLAS, which scipy.optimize
-# loads with itself
+# the scipy modules a method's tasks import on first use. GARCH's variance
+# recursion calls scipy.linalg's BLAS, which scipy.optimize loads with itself
 _SCIPY_USED_BY = {
-    METHOD_CONSTANT: ("scipy.special",),
-    METHOD_GARCH: ("scipy.special", "scipy.optimize"),
-    METHOD_LINEAR_QR: ("scipy.special", "scipy.optimize"),
-    METHOD_QCNN: ("scipy.special",),
+    METHOD_CONSTANT: (),
+    METHOD_GARCH: ("scipy.optimize",),
+    METHOD_LINEAR_QR: ("scipy.optimize",),
+    METHOD_QCNN: (),
 }
 
 

@@ -114,8 +114,8 @@ class TrainConfig:
             raise DomainError("epochs and batch_size must be >= 1")
         if not 0.0 < self.rho < 1.0:
             raise DomainError("rho must lie strictly inside (0, 1)")
-        if not self.epsilon > 0:
-            raise DomainError("epsilon must be positive")
+        if not 0.0 < self.epsilon < np.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 def build_model(
@@ -161,6 +161,25 @@ def model_parameters(model: QcnnModel) -> list[np.ndarray]:
         params.append(layer.weights)
         params.append(layer.biases)
     return params
+
+
+def _parameter_views(model: QcnnModel, flat: np.ndarray) -> list[np.ndarray]:
+    """Contiguous views of flat shaped like model_parameters(model), laid end to end in its order."""
+    views = []
+    for p in model_parameters(model):
+        views.append(flat[: p.size].reshape(p.shape))
+        flat = flat[p.size :]
+    return views
+
+
+def _flatten_parameters(model: QcnnModel) -> np.ndarray:
+    """Move the model's parameters into one flat vector, in model_parameters
+    order, and make every layer's weights and biases views of it."""
+    flat = np.concatenate([p.ravel() for p in model_parameters(model)])
+    views = _parameter_views(model, flat)
+    for layer, weights, biases in zip(model.layers, views[::2], views[1::2]):
+        layer.weights, layer.biases = weights, biases
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -253,23 +272,33 @@ class _Workspace:
     reused across training steps and sequence lengths.
 
     wfull[i] holds layer i's packed parameters [weights by tap | biases] and
-    grad[i] their gradient. `main` runs whole windows and series passes: a
-    sub-batch of sequences of length T <= cols holds cols // T of them, and
-    every layer computes all T positions. `prefix` runs the prefix of a
-    two-pass step (see _step_blocks) and keeps the series pass's activations
-    in `main` alive. Layer i's output in a zero-padded window differs from
-    the series pass's only at positions 0..reach[i]-1, so there layer i
-    computes reach[i] positions. The prefix runs in groups of at most
-    prefix_group windows, which compute no more layer-columns than a
-    sub-batch. shared[i] collects the prefix's gradient on the series pass's
-    input to layer i, laid out like that input's (cin, cols) rows.
+    grad[i] their gradient. The grad[i] lie end to end in packed_grad, and
+    packed_grad taken at `order` is the gradient in model_parameters order.
+    `main` runs whole windows and series passes: a sub-batch of sequences of
+    length T <= cols holds cols // T of them, and every layer computes all T
+    positions. `prefix` runs the prefix of a two-pass step (see _step_blocks)
+    and keeps the series pass's activations in `main` alive. Layer i's
+    output in a zero-padded window differs from the series pass's only at
+    positions 0..reach[i]-1, so there layer i computes reach[i] positions.
+    The prefix runs in groups of at most prefix_group windows, which compute
+    no more layer-columns than a sub-batch. shared[i] collects the prefix's
+    gradient on the series pass's input to layer i, laid out like that
+    input's (cin, cols) rows.
     """
 
     def __init__(self, model: QcnnModel, cols: int):
         layers = model.layers
         self.cols = cols
         self.wfull = [np.empty((l.out_channels, l.kernel_size * l.in_channels + 1)) for l in layers]
-        self.grad = [np.empty_like(w) for w in self.wfull]
+        self.packed_grad = np.empty(sum(w.size for w in self.wfull))
+        self.grad, self.order, at = [], [], 0
+        for layer, w in zip(layers, self.wfull):
+            cout, cin, k = layer.weights.shape
+            self.grad.append(self.packed_grad[at : at + w.size].reshape(w.shape))
+            spot = at + np.arange(w.size).reshape(w.shape)
+            self.order += [spot[:, :-1].reshape(cout, k, cin).transpose(0, 2, 1).ravel(), spot[:, -1]]
+            at += w.size
+        self.order = np.concatenate(self.order)
         self.reach = tuple(np.cumsum([l.dilation * (l.kernel_size - 1) for l in layers]).tolist())
         self.prefix_group = max(len(layers) * cols // max(sum(self.reach), 1), 1)
         self.shared = [np.empty(l.in_channels * cols) for l in layers]
@@ -386,8 +415,9 @@ def _backward(model, ws, buf, m, widths, dact, first, at=None, shared=False) -> 
             dact = dact[:, :n0]
 
 
-def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
-    """Weighted pinball loss over blocks of sequences, divided by n, and its exact gradients.
+def _loss_and_grads(model, blocks, n, ws, grad) -> float:
+    """Weighted pinball loss over blocks of sequences, divided by n; its exact
+    gradient goes into grad, one flat vector in model_parameters order.
 
     Each block is (X, Y, W, heads): inputs and targets of shape (m, T),
     per-position weights broadcastable to them, and heads, None or the
@@ -434,13 +464,8 @@ def _loss_and_grads(model, blocks, n, ws) -> tuple[float, list[np.ndarray]]:
             dact = dact.reshape(1, -1)
             _backward(model, ws, ws.main, m, widths, dact, first, shared=heads is not None)
             first = False
-    # copies, never views of ws.grad, which the next call on ws overwrites
-    grads: list[np.ndarray] = []
-    for layer, g in zip(layers, ws.grad):
-        cout, cin, k = layer.weights.shape
-        grads.append(g[:, :-1].reshape(cout, k, cin).transpose(0, 2, 1).copy())
-        grads.append(g[:, -1].copy())
-    return loss / n, grads
+    np.take(ws.packed_grad, ws.order, out=grad)
+    return loss / n
 
 
 def _concat_series(windows: WindowSet):
@@ -539,8 +564,9 @@ def backward(model: QcnnModel, x, y) -> list[np.ndarray]:
     Y = _as_batch(y)
     if X.shape != Y.shape:
         raise ShapeError(f"input {X.shape} and target {Y.shape} lengths differ")
-    _, grads = _loss_and_grads(model, [(X, Y, 1.0, None)], X.size, _Workspace(model, X.shape[1]))
-    return grads
+    grad = np.empty(sum(p.size for p in model_parameters(model)))
+    _loss_and_grads(model, [(X, Y, 1.0, None)], X.size, _Workspace(model, X.shape[1]), grad)
+    return _parameter_views(model, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +644,11 @@ def train(
         model = build_model(theta, rng=rng)
     elif model.theta != theta:
         raise DomainError(f"model targets theta={model.theta}, asked to train at {theta}")
-    params = model_parameters(model)
-    state = AdadeltaState.for_params(params, cfg.rho, cfg.epsilon)
+    # one flat vector each for the parameters, their gradient and both
+    # accumulators, so a step's update is one elementwise pass
+    params = _flatten_parameters(model)
+    grad = np.empty_like(params)
+    state = AdadeltaState.for_params([params], cfg.rho, cfg.epsilon)
     ws = _Workspace(model, max(T, SUB_BATCH_COLUMNS))
     days, group, start = _concat_series(windows)
     for _ in range(cfg.epochs):
@@ -627,8 +656,8 @@ def train(
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
             blocks = _step_blocks(idx, days, group, start, T, model.receptive_field, ws.cols)
-            _, grads = _loss_and_grads(model, blocks, idx.size * T, ws)
-            adadelta_step(params, grads, state)
+            _loss_and_grads(model, blocks, idx.size * T, ws, grad)
+            adadelta_step([params], [grad], state)
     return model
 
 

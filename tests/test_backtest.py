@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import chdtrc
 
 from qvar.backtest import (
     BacktestResult,
@@ -73,6 +76,44 @@ class TestChi2:
         # P(chi2_1 > x) = 2 (1 - Phi(sqrt(x))) = erfc(sqrt(x/2))
         for x in (0.1, 1.0, 3.8415, 10.0, 30.0):
             assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), abs=1e-12)
+
+    @given(x=st.floats(0.0, 2000.0), k=st.integers(1, 30))
+    def test_matches_scipy(self, x, k):
+        # both sides round y = x/2 into an exponent (exp(-y), erfc(sqrt(y)),
+        # cephes' exp(a log y - y - lgamma a)), so each carries a relative
+        # error of order x * 2^-53: against the exact tail (mpmath, 40 digits)
+        # chdtrc is off by up to 1.2e-13 near x = 1300, this sum by 9e-14
+        got, want = chi2_sf(x, k), float(chdtrc(k, x))
+        if got < 1e-300 and want < 1e-300:
+            return
+        assert abs(got - want) <= (1e-13 + x * 2.0**-52) * want
+
+    @given(x=st.floats(0.0, 2000.0), k=st.integers(1, 30))
+    def test_a_probability(self, x, k):
+        p = chi2_sf(x, k)
+        assert 0.0 <= p <= 1.0
+        assert chi2_sf(0.0, k) == 1.0
+
+    @given(
+        x=st.floats(0.0, 2000.0),
+        dx=st.floats(0.0, 2000.0),
+        k=st.integers(1, 30),
+    )
+    def test_non_increasing(self, x, dx, k):
+        # two adjacent doubles can round either way, by at most a few ulps
+        assert chi2_sf(x + dx, k) <= chi2_sf(x, k) * (1.0 + 1e-14)
+
+    @given(x=st.floats(0.0, allow_infinity=False), k=st.integers(1, 10**4))
+    def test_finite_statistic_never_gives_nan(self, x, k):
+        assert not math.isnan(chi2_sf(x, k))
+
+    @pytest.mark.parametrize("k", [2.0, 4.5, True, np.float64(3.0), "4"])
+    def test_degrees_of_freedom_must_be_an_integer(self, k):
+        with pytest.raises(DomainError):
+            chi2_sf(1.0, k)
+
+    def test_integer_types_accepted(self):
+        assert chi2_sf(3.0, np.int64(4)) == chi2_sf(3.0, 4)
 
 
 def lstsq_dq_oracle(hit, var, theta, hit_lags=3):

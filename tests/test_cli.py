@@ -194,6 +194,17 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1e-6"])
+    def test_epsilon_not_positive_and_finite_rejected(self, tmp_path, capsys, value):
+        manifest = write_panel(tmp_path, n_assets=1)
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path, manifest, out_dir)
+        text = cfg.read_text().replace("methods = constant, linear_qr", "methods = qcnn")
+        cfg.write_text(text + f"epsilon = {value}\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "epsilon" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unparsable_config_theta_is_exit_2(self, tmp_path, capsys):
         manifest = write_panel(tmp_path, n_assets=1)
         cfg = write_config(tmp_path, manifest, tmp_path / "out")

@@ -27,7 +27,13 @@ from qvar.qcnn import (
     save_model,
     train,
 )
-from qvar.qcnn import _concat_series, _loss_and_grads, _step_blocks, _Workspace
+from qvar.qcnn import (
+    _concat_series,
+    _loss_and_grads,
+    _parameter_views,
+    _step_blocks,
+    _Workspace,
+)
 
 
 def small_model(rng, theta=0.2, channels=2, depth=2, kernel=2):
@@ -50,6 +56,14 @@ def small_model(rng, theta=0.2, channels=2, depth=2, kernel=2):
         activation=IDENTITY,
     )
     return QcnnModel(hidden_layers=layers, head=head, theta=theta)
+
+
+def kernel(model, blocks, n, ws):
+    """_loss_and_grads into a new gradient vector; the loss and the gradient
+    split like model_parameters."""
+    grad = np.empty(sum(p.size for p in model_parameters(model)))
+    loss = _loss_and_grads(model, blocks, n, ws, grad)
+    return loss, _parameter_views(model, grad)
 
 
 def zero_out(model):
@@ -180,6 +194,16 @@ class TestPinball:
 
 
 class TestBackward:
+    def test_calls_return_arrays_that_do_not_alias(self):
+        rng = np.random.default_rng(10)
+        model = build_model(0.05, rng=rng)
+        x, y = rng.standard_normal((2, 100))
+        first = backward(model, x, y)
+        second = backward(model, y, x)
+        for a in first:
+            assert a.flags.c_contiguous
+            assert not any(np.shares_memory(a, b) for b in second)
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         pairs = 0
@@ -277,7 +301,7 @@ class TestTrainingKernel:
         X = rng.standard_normal((batch, time))
         Y = rng.standard_normal((batch, time))
         ws = _Workspace(model, max(time, SUB_BATCH_COLUMNS))
-        loss, grads = _loss_and_grads(model, [(X, Y, 1.0, None)], X.size, ws)
+        loss, grads = kernel(model, [(X, Y, 1.0, None)], X.size, ws)
 
         share = time / X.size
         per_sequence = [backward(model, x, y) for x, y in zip(X, Y)]
@@ -294,9 +318,9 @@ class TestTrainingKernel:
         model = build_model(0.05, rng=rng)
         ws = _Workspace(model, SUB_BATCH_COLUMNS)
         X, Y = rng.standard_normal((2, 4, 128))
-        _, grads = _loss_and_grads(model, [(X, Y, 1.0, None)], X.size, ws)
+        _, grads = kernel(model, [(X, Y, 1.0, None)], X.size, ws)
         kept = [g.copy() for g in grads]
-        _loss_and_grads(model, [(Y, X, 1.0, None)], X.size, ws)
+        kernel(model, [(Y, X, 1.0, None)], X.size, ws)
         for got, expected in zip(grads, kept):
             assert np.array_equal(got, expected)
 
@@ -352,9 +376,9 @@ class TestTwoPassStep:
         ws = _Workspace(model, max(window, cols))
 
         blocks = _step_blocks(idx, *_concat_series(windows), window, R, ws.cols)
-        loss, grads = _loss_and_grads(model, blocks, n, ws)
+        loss, grads = kernel(model, blocks, n, ws)
         whole_batch = [(inputs[idx], targets[idx], 1.0, None)]
-        ref_loss, ref_grads = _loss_and_grads(model, whole_batch, n, ws)
+        ref_loss, ref_grads = kernel(model, whole_batch, n, ws)
         for got, expected in zip(grads, ref_grads):
             scale = max(float(np.max(np.abs(expected))), 1e-300)
             assert np.max(np.abs(got - expected)) <= 1e-12 * scale
@@ -460,6 +484,23 @@ class TestTrain:
         adadelta_step(params, grads, state)
         for got, expected in zip(model_parameters(trained), params):
             assert np.array_equal(got, expected)
+
+    def test_parameters_are_contiguous_views_of_one_vector(self):
+        # criterion 1 and TestBackward perturb a parameter through p.ravel(),
+        # which must then be a view of p
+        rng = np.random.default_rng(23)
+        windows = make_window_set(rng.standard_normal((6, 40)))
+        model = build_model(0.05, seed=4)
+        trained = train(windows, 0.05, TrainConfig(epochs=2, batch_size=4, seed=4), model=model)
+        assert trained is model
+        params = model_parameters(model)
+        for p in params:
+            assert p.flags.c_contiguous
+            assert np.shares_memory(p.ravel(), p)
+        flat = params[0].base
+        assert flat.ndim == 1 and flat.size == sum(p.size for p in params)
+        assert all(p.base is flat for p in params)
+        assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(21)
@@ -584,3 +625,9 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(DomainError):
         TrainConfig(rho=1.5)
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1e-6])
+def test_train_config_rejects_epsilon_not_positive_and_finite(epsilon):
+    with pytest.raises(DomainError, match="epsilon"):
+        TrainConfig(epsilon=epsilon)

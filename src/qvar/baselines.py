@@ -2,9 +2,12 @@
 normal innovations, and linear quantile autoregression with 4 lags.
 
 All VaR numbers follow the sign convention VaR = -(predicted return
-quantile), so a typical lower-tail forecast comes out positive. scipy's
-solvers are imported by the functions that call them, so importing qvar
-does not load them.
+quantile), so a typical lower-tail forecast comes out positive. The scipy
+modules used here are imported by the functions that call them, so
+importing qvar does not load them: GARCH's variance recursion imports
+`scipy.linalg`'s BLAS and the quantile autoregression imports
+`scipy.optimize.linprog`. The GARCH fit's Nelder-Mead loop is written out
+here, so a GARCH run never loads `scipy.optimize`.
 """
 
 from __future__ import annotations
@@ -158,9 +161,8 @@ class GarchParams:
 
 def _variance_recursion(eps2: np.ndarray, omega: float, alpha: float, beta: float, init_var: float):
     # sigma2[t] = (omega + alpha*eps2[t-1]) + beta*sigma2[t-1] solves the unit lower
-    # bidiagonal system (I - beta*shift) sigma2 = driver: one BLAS dtbsv call, from
-    # the scipy.linalg that scipy.optimize already loads. It runs one day past
-    # the data, so sigma2[-1] is the next day's variance.
+    # bidiagonal system (I - beta*shift) sigma2 = driver: one BLAS dtbsv call. It
+    # runs one day past the data, so sigma2[-1] is the next day's variance.
     from scipy.linalg.blas import dtbsv
 
     driver = np.empty(eps2.size + 1)
@@ -216,6 +218,103 @@ def _logistic(x: float) -> float:
         return 0.0
 
 
+class _MaxFevReached(Exception):
+    pass
+
+
+def _nelder_mead(func, x0, maxfev=8000):
+    """Minimize func from x0 by Nelder-Mead; returns (x, fun, nit, nfev, message).
+
+    Follows scipy.optimize.minimize(method="Nelder-Mead") with the options
+    xatol=1e-8, fatol=1e-10, maxiter=5000 and maxfev, and no bounds,
+    adaptive mode or callback, op for op, so x, fun, nit, nfev and message
+    come out bit for bit as scipy's. Adapted from scipy's
+    `_minimize_neldermead` (scipy/optimize/_optimize.py, BSD-3-Clause,
+    Copyright (c) 2001-2002 Enthought, Inc. and 2003 SciPy Developers).
+    """
+    xatol, fatol, maxiter = 1e-8, 1e-10, 5000
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def f(x):
+        # past the cap, the evaluation that would exceed it ends the step
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFevReached
+        nfev += 1
+        return func(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFevReached:
+        pass
+    # scipy sorts the start simplex twice; argsort need not be stable on ties
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # shrink towards the best vertex. The cap can stop it after
+                    # moving a vertex but before evaluating it; that vertex
+                    # keeps its old value
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            nit += 1
+        except _MaxFevReached:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    # scipy's messages for its three outcomes
+    if nfev >= maxfev:
+        message = "Maximum number of function evaluations has been exceeded."
+    elif nit >= maxiter:
+        message = "Maximum number of iterations has been exceeded."
+    else:
+        message = "Optimization terminated successfully."
+    # np.min, not fsim[0]: a NaN anywhere in the simplex makes fun NaN
+    return sim[0], np.min(fsim), nit, nfev, message
+
+
 def _garch_coefficients(raw) -> tuple[float, float, float]:
     # (log omega, logit persistence, logit alpha-share) -> (omega, alpha, beta)
     log_omega, raw_p, raw_s = raw
@@ -233,8 +332,6 @@ def fit_garch(train_returns) -> GarchParams:
     (log omega, logit persistence, logit alpha-share). Raises FitError when
     the optimum found rounds onto the boundary, such as alpha + beta = 1.
     """
-    from scipy.optimize import minimize
-
     returns = np.asarray(train_returns, dtype=float)
     if returns.size < MIN_GARCH_OBS:
         raise InsufficientDataError(
@@ -242,33 +339,35 @@ def fit_garch(train_returns) -> GarchParams:
         )
     mu = float(np.mean(returns))
     eps = returns - mu
-    sample_var = float(np.var(eps))
+    with np.errstate(over="ignore"):
+        sample_var = float(np.var(eps))
     if sample_var <= 0:
         raise FitError("returns have zero variance; GARCH likelihood is degenerate")
+    if not math.isfinite(sample_var):
+        raise FitError("returns' sample variance overflows; GARCH likelihood is degenerate")
     eps2 = eps * eps
 
     def negloglik(raw):
-        omega, alpha, beta = _garch_coefficients(raw)
+        try:
+            omega, alpha, beta = _garch_coefficients(raw)
+        except OverflowError:
+            # omega = exp(log omega) is beyond the double range: no finite likelihood
+            return math.inf
         return _negloglik(eps2, _variance_recursion(eps2, omega, alpha, beta, sample_var)[:-1])
 
     alpha0, beta0 = 0.05, 0.90
     p0 = alpha0 + beta0
     x0 = np.array([math.log(0.05 * sample_var), _logit(p0), _logit(alpha0 / p0)])
     nll0 = negloglik(x0)
-    result = minimize(
-        negloglik,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": 8000},
-    )
-    if not np.isfinite(result.fun):
-        raise FitError(f"GARCH likelihood diverged: {result.message}")
-    if result.fun > nll0 + 1e-9:
+    x, fun, _, _, message = _nelder_mead(negloglik, x0)
+    if not np.isfinite(fun):
+        raise FitError(f"GARCH likelihood diverged: {message}")
+    if fun > nll0 + 1e-9:
         raise FitError(
             f"GARCH optimizer ended below the starting likelihood "
-            f"({-result.fun:.3f} < {-nll0:.3f}): {result.message}"
+            f"({-fun:.3f} < {-nll0:.3f}): {message}"
         )
-    omega, alpha, beta = _garch_coefficients(result.x)
+    omega, alpha, beta = _garch_coefficients(x)
     try:
         return GarchParams(omega=omega, alpha=alpha, beta=beta, mu=mu)
     except DomainError as exc:

@@ -58,10 +58,11 @@ WHOLE_LEVEL = "*"
 DEFAULT_THETAS = (0.05, 0.01, 0.001)
 
 # the scipy modules a method's tasks import on first use. GARCH's variance
-# recursion calls scipy.linalg's BLAS, which scipy.optimize loads with itself
+# recursion calls scipy.linalg's BLAS; its Nelder-Mead loop is qvar's own, so a
+# GARCH run loads no scipy.optimize
 _SCIPY_USED_BY = {
     METHOD_CONSTANT: (),
-    METHOD_GARCH: ("scipy.optimize",),
+    METHOD_GARCH: ("scipy.linalg",),
     METHOD_LINEAR_QR: ("scipy.optimize",),
     METHOD_QCNN: (),
 }

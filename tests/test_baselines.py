@@ -1,12 +1,11 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from scipy.optimize import linprog
 from scipy.sparse import eye, hstack
 
+from qvar import baselines
 from qvar.baselines import (
     GarchParams,
     QrCoefficients,
@@ -186,12 +185,10 @@ class TestGarch:
 
     def test_fit_rejects_persistence_rounded_to_one(self, monkeypatch):
         # a persistence logit of 40 gives a logistic of exactly 1.0 in doubles
-        def stop_at_unit_persistence(fun, x0, **kwargs):
-            x = np.array([x0[0], 40.0, x0[2]])
-            return SimpleNamespace(x=x, fun=fun(x0), message="stub")
+        def stop_at_unit_persistence(fun, x0):
+            return np.array([x0[0], 40.0, x0[2]]), fun(x0), 1, 1, "stub"
 
-        # fit_garch imports minimize from scipy.optimize when it is called
-        monkeypatch.setattr(scipy.optimize, "minimize", stop_at_unit_persistence)
+        monkeypatch.setattr(baselines, "_nelder_mead", stop_at_unit_persistence)
         with pytest.raises(FitError, match="boundary"):
             fit_garch(np.random.default_rng(12).standard_normal(500))
 

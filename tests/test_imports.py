@@ -80,8 +80,9 @@ def test_constant_and_qcnn_run_loads_no_solver(tmp_path, workers):
     assert loaded == []
 
 
-def test_garch_pool_parent_holds_solvers_before_fork(tmp_path):
-    # records which watched modules the parent has loaded when the pool is constructed
+def modules_at_fork(tmp_path, methods):
+    """The watched modules the parent holds before a 2-worker run of the
+    methods starts, and when it constructs its pool."""
     setup = f"""
         import qvar.harness
         from concurrent.futures import ProcessPoolExecutor
@@ -94,28 +95,56 @@ def test_garch_pool_parent_holds_solvers_before_fork(tmp_path):
 
         qvar.harness.ProcessPoolExecutor = Recording
         """
-    before, at_fork = run_python(
-        setup, experiment(tmp_path, ("constant", "garch"), 2), "print(json.dumps(seen))"
-    )
+    return run_python(setup, experiment(tmp_path, methods, 2), "print(json.dumps(seen))")
+
+
+def test_garch_pool_parent_holds_solvers_before_fork(tmp_path):
+    # GARCH's Nelder-Mead loop is qvar's own; only its BLAS solve needs scipy
+    before, at_fork = modules_at_fork(tmp_path, ("constant", "garch"))
     assert before == []
-    assert at_fork == ["scipy.linalg", "scipy.optimize"]
+    assert at_fork == ["scipy.linalg"]
+
+
+def test_linear_qr_pool_parent_holds_linprog_before_fork(tmp_path):
+    before, at_fork = modules_at_fork(tmp_path, ("constant", "linear_qr"))
+    assert before == []
+    assert "scipy.optimize" in at_fork
+
+
+def refusing(package: str) -> str:
+    """A script part that installs a finder refusing the package, so an import
+    of it in the parent or in any worker it forks fails the run."""
+    return f"""
+        class Refuse:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[:2] == {package.split(".")!r}:
+                    raise ImportError(f"{{name}} imported during a run")
+
+        sys.meta_path.insert(0, Refuse())
+        """
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_of_every_method_never_loads_scipy_signal(tmp_path, workers):
-    # the finder refuses scipy.signal in the parent and in every worker it
-    # forks, so an import of it anywhere in the run fails the run
-    refuse = """
-        class Refuse:
-            def find_spec(self, name, path=None, target=None):
-                if name.split(".")[:2] == ["scipy", "signal"]:
-                    raise ImportError(f"{name} imported during a run")
-
-        sys.meta_path.insert(0, Refuse())
-        """
     loaded = run_python(
-        refuse,
+        refusing("scipy.signal"),
         experiment(tmp_path, ALL_METHODS, workers),
         'print(json.dumps("scipy.signal" in sys.modules))',
     )
     assert loaded is False
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_garch_run_never_loads_scipy_optimize(tmp_path, workers):
+    # the run must also succeed: a GARCH fit that needed scipy.optimize would
+    # fail, and its asset would be skipped
+    out = tmp_path / "out"
+    loaded = run_python(
+        refusing("scipy.optimize"),
+        experiment(tmp_path, ("constant", "garch"), workers),
+        'print(json.dumps("scipy.optimize" in sys.modules))',
+    )
+    assert loaded is False
+    assert json.loads((out / "run_manifest.json").read_text())["skipped"] == []
+    rows = (out / "results_garch_theta0.05.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["a0", "a1"]

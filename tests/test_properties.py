@@ -1,19 +1,25 @@
 """Property tests: every forecaster keeps the path contract under random
-truncation, the fitters turn hostile inputs into qvar errors only, price
-files load back bit-exact in date order, a run survives broken price
-files and gives every (asset, method, level) of a hostile panel one row or
-one skip, and broken VaR, results and config files end in no traceback."""
+truncation, the fitters turn hostile inputs into qvar errors only, GARCH's
+Nelder-Mead loop matches scipy's bit for bit, price files load back
+bit-exact in date order, a run survives broken price files and gives every
+(asset, method, level) of a hostile panel one row or one skip, and broken
+VaR, results and config files end in no traceback."""
 
 import datetime as dt
 import json
 import math
+import zlib
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
+import scipy.optimize
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from qvar import baselines
 from qvar.baselines import (
+    MIN_GARCH_OBS,
     QR_LAGS,
     GarchParams,
     QrCoefficients,
@@ -173,6 +179,9 @@ def hostile_returns(draw):
 @given(returns=hostile_returns(), theta=st.sampled_from(THETAS))
 # iid normal draws on which the alpha-share logistic used to overflow
 @example(returns=np.random.default_rng(4).standard_normal(500), theta=0.05)
+# a start simplex whose omega overflows exp, and a sample variance that overflows
+@example(returns=1e150 * np.random.default_rng(0).standard_normal(500), theta=0.05)
+@example(returns=1e153 * np.random.default_rng(0).standard_normal(500), theta=0.05)
 def test_fitters_raise_only_qvar_errors(returns, theta):
     try:
         params = fit_garch(returns)
@@ -190,6 +199,68 @@ def test_fitters_raise_only_qvar_errors(returns, theta):
             make_windows(series, fit_scaler(series), window=32)
         except QvarError:
             pass
+
+
+def garch_objective(returns):
+    """The objective and start point fit_garch hands its Nelder-Mead loop,
+    or None when the fit stops before the loop."""
+    seen = []
+    real = baselines._nelder_mead
+
+    def record(func, x0):
+        seen.append((func, x0))
+        return real(func, x0)
+
+    with patch.object(baselines, "_nelder_mead", record):
+        try:
+            fit_garch(returns)
+        except QvarError:
+            pass
+    return seen[0] if seen else None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    returns=hostile_returns().filter(lambda r: r.size >= MIN_GARCH_OBS),
+    maxfev=st.sampled_from((5, 7, 17, 8000)),
+    poison=st.sampled_from((None, (1, math.nan), (2, math.nan), (3, math.inf), (5, math.nan))),
+)
+# an all-NaN objective shrinks on every step, so the cap of 17 stops a
+# shrink after moving its first vertex
+@example(returns=np.random.default_rng(4).standard_normal(500), maxfev=17, poison=(1, math.nan))
+# the start simplex's omega overflows exp, so one vertex's objective is inf
+@example(returns=1e150 * np.random.default_rng(0).standard_normal(500), maxfev=8000, poison=None)
+def test_nelder_mead_matches_scipy(returns, maxfev, poison):
+    # fit_garch's Nelder-Mead loop copies scipy's op for op; this guards
+    # against scipy changing its algorithm under that copy. Both runs must
+    # evaluate the same points in the same order. A poisoned objective
+    # returns NaN or inf at the points whose bytes hash to 0 modulo its period.
+    found = garch_objective(returns)
+    assume(found is not None)
+    objective, x0 = found
+    period, value = poison or (None, None)
+
+    def traced(points):
+        def func(x):
+            points.append(x.tobytes())
+            if period is not None and zlib.crc32(x.tobytes()) % period == 0:
+                return value
+            return objective(x)
+
+        return func
+
+    want_points, points = [], []
+    want = scipy.optimize.minimize(
+        traced(want_points),
+        x0,
+        method="Nelder-Mead",
+        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 5000, "maxfev": maxfev},
+    )
+    x, fun, nit, nfev, message = baselines._nelder_mead(traced(points), x0, maxfev=maxfev)
+    assert points == want_points
+    assert x.tobytes() == want.x.tobytes()
+    assert np.float64(fun).tobytes() == np.float64(want.fun).tobytes()
+    assert (nit, nfev, message) == (want.nit, want.nfev, want.message)
 
 
 @st.composite

@@ -156,7 +156,8 @@ def dq_test(hit: HitSeries, var, hit_lags: int = DEFAULT_HIT_LAGS) -> DqResult:
     Uses a rank-tolerant pseudo-inverse (singular values below 1e-10 of the
     largest are dropped) so degenerate regressors such as a constant VaR
     with no exceedances still yield a defined statistic. dof equals the
-    number of regressor columns regardless of rank.
+    number of regressor columns regardless of rank. A VaR so large that
+    X'X or X'Hit overflows raises DomainError.
     """
     X, h = dq_regressors(hit, var, hit_lags)
     dof = X.shape[1]
@@ -164,8 +165,12 @@ def dq_test(hit: HitSeries, var, hit_lags: int = DEFAULT_HIT_LAGS) -> DqResult:
         raise InsufficientDataError(
             f"DQ test needs more than {hit_lags + dof} observations, got {len(hit)}"
         )
-    gram = X.T @ X
-    xh = X.T @ h
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = X.T @ X
+        xh = X.T @ h
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(xh))):
+        # an overflowed Gram matrix has an all-zero pseudo-inverse: a false pass
+        raise DomainError("VaR forecasts too large for the DQ test: X'X or X'Hit overflows")
     delta = np.linalg.pinv(gram, rcond=1e-10, hermitian=True) @ xh
     statistic = float(xh @ delta) / (hit.theta * (1.0 - hit.theta))
     statistic = max(statistic, 0.0)

@@ -270,10 +270,13 @@ def fit_scaler(series: ReturnSeries) -> Scaler:
         raise InsufficientDataError(
             f"{series.asset_id}: training segment has {len(train)} returns, need >= 2"
         )
-    mean = float(np.mean(train))
-    std = float(np.std(train))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(train))
+        std = float(np.std(train))
     if std == 0.0:
         raise DegenerateDataError(f"{series.asset_id}: training returns have zero variance")
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DegenerateDataError(f"{series.asset_id}: training returns' mean or std overflows")
     return Scaler(mean=mean, std=std)
 
 

@@ -2,9 +2,10 @@
 ahead through the test segment, backtest, and aggregate across assets.
 
 All fits use the training segment only and forecasts roll through the test
-segment without refitting. The joint QCNN trains once per quantile level on
-the pooled windows of every asset and predicts each asset with that asset's
-own scaler.
+segment without refitting. run_single, run_joint_qcnn, the pool tasks and
+the joint model of run_experiment share one fit-and-score body. The joint
+QCNN trains once per quantile level on the pooled windows of every asset
+and predicts each asset with that asset's own scaler.
 """
 
 from __future__ import annotations
@@ -156,68 +157,78 @@ def _train_config_for(cfg: ExperimentConfig, *parts) -> TrainConfig:
     return dataclasses.replace(cfg.train, seed=derive_seed(cfg.seed, *parts))
 
 
-def _fit_level_free(series: ReturnSeries, method: str, cfg: ExperimentConfig):
-    """The part of a method's fit that no quantile level changes.
+def _var_paths(series: ReturnSeries, method: str, cfg: ExperimentConfig, models=None):
+    """The one method switch: fit what no quantile level changes and return
+    the level -> VaR path over the test days.
 
-    GARCH parameters with the recursion's starting variance, or a QCNN's
-    scaler (and, for qcnn, its training windows); None for the methods that
-    fit per level.
+    That is GARCH's parameters with the recursion's starting variance, or a
+    QCNN's scaler (and, for qcnn, its training windows). For joint_qcnn,
+    `models` maps each level to its jointly trained model.
     """
-    train_returns = series.train
-    if method == METHOD_GARCH:
-        params = fit_garch(train_returns)
-        return params, float(np.var(train_returns - params.mu))
-    if method in (METHOD_QCNN, METHOD_JOINT_QCNN):
-        scaler = fit_scaler(series)
-        if method == METHOD_JOINT_QCNN:
-            return scaler, None
-        return scaler, make_windows(series, scaler, window=cfg.window, stride=cfg.stride)
-    return None
-
-
-def _forecast(
-    series: ReturnSeries,
-    theta: float,
-    method: str,
-    cfg: ExperimentConfig,
-    fitted,
-    model: QcnnModel | None = None,
-) -> tuple[VarForecast, BacktestResult]:
-    # the path functions forecast days split..len(history); the last test
-    # return is never a forecast input
+    # the paths forecast days split..len(history); the last test return is
+    # never a forecast input
     history = series.returns[:-1]
     split = series.split_index
     train_returns = series.train
-
     if method == METHOD_CONSTANT:
-        values = np.full(len(series) - split, constant_var(train_returns, theta))
-    elif method == METHOD_GARCH:
-        params, init_var = fitted
-        values = garch_var_path(params, history, split, theta, init_var)
-    elif method == METHOD_LINEAR_QR:
-        coeffs = fit_linear_qr(train_returns, theta)
-        values = linear_qr_var_path(coeffs, history, split)
-    elif method in (METHOD_QCNN, METHOD_JOINT_QCNN):
-        scaler, windows = fitted
-        if method == METHOD_QCNN:
-            model = train(
-                windows, theta, _train_config_for(cfg, "qcnn", series.asset_id, theta)
-            )
-        elif model is None:
+        return lambda theta: np.full(len(series) - split, constant_var(train_returns, theta))
+    if method == METHOD_GARCH:
+        params = fit_garch(train_returns)
+        init_var = float(np.var(train_returns - params.mu))
+        return lambda theta: garch_var_path(params, history, split, theta, init_var)
+    if method == METHOD_LINEAR_QR:
+        return lambda theta: linear_qr_var_path(fit_linear_qr(train_returns, theta), history, split)
+    if method == METHOD_QCNN:
+        scaler = fit_scaler(series)
+        windows = make_windows(series, scaler, window=cfg.window, stride=cfg.stride)
+        model_for = lambda theta: train(
+            windows, theta, _train_config_for(cfg, "qcnn", series.asset_id, theta)
+        )
+    elif method == METHOD_JOINT_QCNN:
+        if models is None:
             raise DomainError("joint_qcnn needs the jointly trained model")
-        values = predict_var_series(model, apply_scaler(history, scaler), scaler, split)
+        scaler = fit_scaler(series)
+        model_for = models.__getitem__
     else:
         raise DomainError(f"unknown method {method!r}")
-
-    forecast = VarForecast(
-        asset_id=series.asset_id,
-        method=method,
-        theta=theta,
-        start_index=split,
-        values=np.asarray(values, dtype=float),
+    return lambda theta: predict_var_series(
+        model_for(theta), apply_scaler(history, scaler), scaler, split
     )
-    result = score_forecast(series.test, forecast.values, theta)
-    return forecast, result
+
+
+def _fit_and_score(series: ReturnSeries, method: str, thetas, cfg: ExperimentConfig, models=None):
+    """Each level's (VarForecast, BacktestResult), or the QvarError that
+    stopped it. A failed level-free fit gives every level its error; after
+    it, each level is forecast and scored on its own.
+    """
+    try:
+        var_path = _var_paths(series, method, cfg, models)
+    except QvarError as exc:
+        return dict.fromkeys(thetas, exc)
+    out = {}
+    for theta in thetas:
+        try:
+            values = np.asarray(var_path(theta), dtype=float)
+            out[theta] = (
+                VarForecast(series.asset_id, method, theta, series.split_index, values),
+                score_forecast(series.test, values, theta),
+            )
+        except QvarError as exc:
+            out[theta] = exc
+    return out
+
+
+def _record(outcomes: dict, asset_id: str, method: str, scored: dict, cfg: ExperimentConfig):
+    """Put _fit_and_score's outcomes into the outcome table: each level's
+    BacktestResult, its series file written when cfg.write_series is set,
+    or its skip."""
+    for theta, outcome in scored.items():
+        if isinstance(outcome, QvarError):
+            outcomes[asset_id, method, theta] = _skip(asset_id, _stage(method, theta), outcome)
+        else:
+            forecast, outcomes[asset_id, method, theta] = outcome
+            if cfg.write_series:
+                _write_series_csv(cfg.output_dir, forecast)
 
 
 def run_single(
@@ -233,7 +244,11 @@ def run_single(
     constant method emits the same value daily. For joint_qcnn a trained
     model must be supplied.
     """
-    return _forecast(series, theta, method, cfg, _fit_level_free(series, method, cfg), model)
+    models = None if model is None else {theta: model}
+    outcome = _fit_and_score(series, method, (theta,), cfg, models)[theta]
+    if isinstance(outcome, QvarError):
+        raise outcome
+    return outcome
 
 
 def run_joint_qcnn(
@@ -245,60 +260,45 @@ def run_joint_qcnn(
 
     Windows are scaled per asset before pooling; the training shuffle mixes
     them across assets. Predictions unscale with each asset's own scaler. An
-    asset whose scaling, windowing or forecast fails is left out with a
-    warning and is absent from the result; the model trains when at least
-    two assets remain. With fewer, it raises InsufficientDataError naming
-    every left-out asset and its error.
+    asset whose scaling, windowing or forecast fails is absent from the
+    result; the model trains when at least two assets remain. With fewer, it
+    raises InsufficientDataError naming every left-out asset and its error.
     """
-    outcomes, model = _run_joint_level(_joint_pool(series_list, cfg), theta, cfg)
-    return {a: o for a, o in outcomes.items() if isinstance(o, tuple)}, model
+    members, pooled, left_out = _joint_pool(series_list, cfg)
+    model = _train_joint(pooled, left_out, theta, cfg)
+    models = {theta: model}
+    scored = [_fit_and_score(s, METHOD_JOINT_QCNN, (theta,), cfg, models)[theta] for s in members]
+    return {s.asset_id: o for s, o in zip(members, scored) if not isinstance(o, QvarError)}, model
 
 
 def _joint_pool(series_list: list[ReturnSeries], cfg: ExperimentConfig):
-    """The joint model's level-free state, fitted once for every level.
+    """The joint model's training windows, built once for every level.
 
-    Returns each usable asset with its scaler, their pooled windows (None
-    when fewer than two remain), and each left-out asset with its error.
+    Returns each usable asset, their pooled windows (None when fewer than
+    two remain), and each left-out asset with its error.
     """
     members, window_sets, left_out = [], [], []
     for series in series_list:
         try:
-            scaler = fit_scaler(series)
-            windows = make_windows(series, scaler, window=cfg.window, stride=cfg.stride)
+            windows = make_windows(series, fit_scaler(series), window=cfg.window, stride=cfg.stride)
         except QvarError as exc:
             left_out.append((series, exc))
             continue
-        members.append((series, scaler))
+        members.append(series)
         window_sets.append(windows)
     pooled = pool_windows(window_sets) if len(members) >= 2 else None
     return members, pooled, left_out
 
 
-def _run_joint_level(joint_pool, theta: float, cfg: ExperimentConfig):
-    """run_joint_qcnn at one level, from the state _joint_pool fitted.
-
-    Returns each asset's outcome, its (forecast, result) or its skip, and
-    the model; a left-out asset's skip is made only once the model trains.
-    """
-    members, pooled, left_out = joint_pool
+def _train_joint(pooled, left_out, theta: float, cfg: ExperimentConfig) -> QcnnModel:
+    """The joint model at one level; with no pooled windows, the level's one
+    failure, which names every left-out asset."""
     if pooled is None:
-        # the level's one failure then stands for every asset, so no asset
-        # gets a skip of its own
         reasons = "".join(
             f"; left out {s.asset_id} ({type(exc).__name__}: {exc})" for s, exc in left_out
         )
         raise InsufficientDataError(f"joint training needs at least 2 assets{reasons}")
-    model = train(pooled, theta, _train_config_for(cfg, "joint_qcnn", theta))
-    stage = _stage(METHOD_JOINT_QCNN, theta)
-    out = {s.asset_id: _skip(s.asset_id, stage, exc) for s, exc in left_out}
-    for series, scaler in members:
-        try:
-            out[series.asset_id] = _forecast(
-                series, theta, METHOD_JOINT_QCNN, cfg, (scaler, None), model
-            )
-        except QvarError as exc:
-            out[series.asset_id] = _skip(series.asset_id, stage, exc)
-    return out, model
+    return train(pooled, theta, _train_config_for(cfg, "joint_qcnn", theta))
 
 
 def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
@@ -335,14 +335,11 @@ def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
 
 def _run_asset(path: Path, cfg: ExperimentConfig):
     """One pool task: load an asset's price file and run every single-asset
-    method on it at every level of cfg.thetas.
+    method on it at every level of cfg.thetas through _fit_and_score.
 
     Returns (None, the load skip) when the file cannot be read or its
     training segment is too short to window; otherwise the series and its
-    outcome table, keyed (asset, method, theta). A method's level-free fit
-    runs once; if it fails, every level records its error. Otherwise each
-    level is forecast and scored on its own, so a failing level records
-    only its own skip.
+    outcome table, keyed (asset, method, theta).
     """
     try:
         series = log_returns(load_prices(path))
@@ -352,26 +349,11 @@ def _run_asset(path: Path, cfg: ExperimentConfig):
             )
     except QvarError as exc:
         return None, _skip(path.stem, "load", exc)
-    asset_id = series.asset_id
     outcomes: dict = {}
     for method in cfg.methods:
-        if method == METHOD_JOINT_QCNN:
-            continue
-        try:
-            fitted = _fit_level_free(series, method, cfg)
-        except QvarError as exc:
-            for theta in cfg.thetas:
-                outcomes[asset_id, method, theta] = _skip(asset_id, _stage(method, theta), exc)
-            continue
-        for theta in cfg.thetas:
-            key = (asset_id, method, theta)
-            try:
-                forecast, outcomes[key] = _forecast(series, theta, method, cfg, fitted)
-            except QvarError as exc:
-                outcomes[key] = _skip(asset_id, _stage(method, theta), exc)
-                continue
-            if cfg.write_series:
-                _write_series_csv(cfg.output_dir, forecast)
+        if method != METHOD_JOINT_QCNN:
+            scored = _fit_and_score(series, method, cfg.thetas, cfg)
+            _record(outcomes, series.asset_id, method, scored, cfg)
     return series, outcomes
 
 
@@ -446,18 +428,18 @@ def write_run_manifest(cfg: ExperimentConfig, assets: list[str], skips: list[dic
 def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     """Run every (asset, method, theta), write the report files, return summaries.
 
-    A task is one asset: it loads the price file, runs each single-asset
-    method over every quantile level, fitting the level-free state once
-    (GARCH parameters, a QCNN's scaler and windows) and each level's own
-    model after it, and writes the asset's series files. Tasks are
-    independent and run on a process pool when workers allow; per-task
-    seeds still come from the (asset, method, level) identity. The joint
-    model's pooled windows are built once, and it trains once per theta in
-    the main process. Each (asset, method, theta) ends as one entry of one
-    outcome table, its BacktestResult or its skip; a manifest line that
-    does not load gets one load skip, and run_manifest.json lists every skip
-    sorted by (asset, stage, reason). Output is deterministic for a fixed
-    config and seed regardless of worker count.
+    A pool task is one asset: it loads the price file and sends each
+    single-asset method through _fit_and_score, which fits the level-free
+    state once (GARCH parameters, a QCNN's scaler and windows) and each
+    level's own model after it. Tasks run on a process pool when workers
+    allow; per-task seeds come from the (asset, method, level) identity. The
+    joint model's pooled windows are built once and it trains once per theta
+    in the main process; each pooled asset then goes through the same body.
+    _record puts every outcome into one table, a BacktestResult (writing its
+    series file under write_series) or a skip. A manifest line that does not
+    load gets one load skip, and run_manifest.json lists every skip sorted
+    by (asset, stage, reason). Output is deterministic for a fixed config
+    and seed regardless of worker count.
     """
     output_dir = Path(cfg.output_dir)
     try:
@@ -513,25 +495,25 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         write_run_manifest(cfg, [], load_skips)
         raise InsufficientDataError(f"no usable assets in manifest {cfg.manifest}")
 
-    joint_pool = _joint_pool(series_list, cfg) if METHOD_JOINT_QCNN in cfg.methods else None
-    summaries_by_theta: dict[float, list[MethodSummary]] = {}
-    for theta in cfg.thetas:
-        if joint_pool is not None:
+    if METHOD_JOINT_QCNN in cfg.methods:
+        members, pooled, left_out = _joint_pool(series_list, cfg)
+        models = {}
+        for theta in cfg.thetas:
             try:
-                joint, joint_model = _run_joint_level(joint_pool, theta, cfg)
-                save_model(joint_model, output_dir / f"joint_qcnn_theta{_theta_tag(theta)}.json")
+                models[theta] = _train_joint(pooled, left_out, theta, cfg)
+                save_model(models[theta], output_dir / f"joint_qcnn_theta{_theta_tag(theta)}.json")
             except QvarError as exc:
                 # the model failed as a whole: one skip stands for every asset
                 skip = _skip(WHOLE_LEVEL, _stage(METHOD_JOINT_QCNN, theta), exc)
                 outcomes[WHOLE_LEVEL, METHOD_JOINT_QCNN, theta] = skip
-            else:
-                for asset_id, outcome in joint.items():
-                    if isinstance(outcome, tuple):
-                        forecast, outcome = outcome
-                        if cfg.write_series:
-                            _write_series_csv(output_dir, forecast)
-                    outcomes[asset_id, METHOD_JOINT_QCNN, theta] = outcome
+        for series in members:
+            scored = _fit_and_score(series, METHOD_JOINT_QCNN, tuple(models), cfg, models)
+            _record(outcomes, series.asset_id, METHOD_JOINT_QCNN, scored, cfg)
+        for series, exc in left_out:
+            _record(outcomes, series.asset_id, METHOD_JOINT_QCNN, dict.fromkeys(models, exc), cfg)
 
+    summaries_by_theta: dict[float, list[MethodSummary]] = {}
+    for theta in cfg.thetas:
         per_method: dict[str, list[BacktestResult]] = {}
         for method in cfg.methods:
             rows = [(s.asset_id, outcomes.get((s.asset_id, method, theta))) for s in series_list]

@@ -3,6 +3,7 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qvar.baselines import GarchParams, constant_var
@@ -364,6 +365,19 @@ class TestBacktest:
             ["backtest", "--prices", str(prices), "--var", str(var_path), "--theta", "0.05"]
         ) == 2
 
+    def test_var_overflowing_dq_test_exits_2(self, tmp_path, capsys):
+        # at 1e160 the DQ Gram matrix overflows; its pseudo-inverse would be
+        # all zeros and score dq_stat 0.0, p_value 1.0, a pass
+        write_panel(tmp_path, n_assets=1)
+        rng = np.random.default_rng(0)
+        values = np.where(rng.random(300) < 0.9, 1e160, -5.0)
+        var_path = tmp_path / "var.csv"
+        var_path.write_text("var\n" + "\n".join(map(repr, values.tolist())) + "\n")
+        prices = tmp_path / "asset0.csv"
+        code = main(["backtest", "--prices", str(prices), "--var", str(var_path), "--theta", "0.05"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "overflows" in captured.err and "dq_stat" not in captured.out
 
     def write_var(self, tmp_path, cell):
         write_panel(tmp_path, n_assets=1)

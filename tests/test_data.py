@@ -219,6 +219,13 @@ class TestScaler:
         s1, s2 = fit_scaler(base), fit_scaler(other)
         assert s1.mean == s2.mean and s1.std == s2.std
 
+    def test_overflowing_std_is_degenerate(self):
+        # np.std of returns near 1e153 overflows to inf; a QCNN would then
+        # train on all-zero windows
+        returns = 1e153 * np.random.default_rng(0).standard_normal(500)
+        with pytest.raises(DegenerateDataError, match="overflows"):
+            fit_scaler(make_series(returns, split=350))
+
     def test_std_must_be_positive(self):
         with pytest.raises(DomainError):
             Scaler(mean=0.0, std=0.0)

@@ -165,6 +165,25 @@ class TestJoint:
             assert forecast.method == "joint_qcnn"
             assert forecast.values.shape == (len(series) - series.split_index,)
 
+    def test_run_single_with_the_joint_model_is_its_joint_forecast(self, tmp_path):
+        cfg = fast_cfg(tmp_path)
+        panel = [sim_series(seed, asset_id=f"a{seed}") for seed in (7, 8, 9)]
+        results, model = run_joint_qcnn(panel, 0.05, cfg)
+        for series in panel:
+            forecast, scored = run_single(series, 0.05, "joint_qcnn", cfg, model)
+            joint_forecast, joint_scored = results[series.asset_id]
+            assert forecast.values.tobytes() == joint_forecast.values.tobytes()
+            assert (forecast.asset_id, forecast.method, forecast.start_index) == (
+                joint_forecast.asset_id, joint_forecast.method, joint_forecast.start_index
+            )
+            assert scored == joint_scored
+
+    def test_joint_writes_no_series_file(self, tmp_path):
+        cfg = fast_cfg(tmp_path, write_series=True)
+        panel = [sim_series(seed, asset_id=f"a{seed}") for seed in (7, 8)]
+        run_joint_qcnn(panel, 0.05, cfg)
+        assert not cfg.output_dir.exists() or not any(cfg.output_dir.iterdir())
+
 
 class TestAggregate:
     def test_rejection_rates_single_asset(self):
@@ -300,7 +319,7 @@ class TestRunExperiment:
         write_price_csv(short, tmp_path / "short.csv")
         # two assets that fail to load, between the good ones
         manifest.write_text("asset0.csv\nmissing.csv\nasset1.csv\nshort.csv\nasset2.csv\n")
-        methods = ("constant", "garch", "linear_qr", "qcnn")
+        methods = ("constant", "garch", "linear_qr", "qcnn", "joint_qcnn")
         common = dict(manifest=manifest, methods=methods, thetas=(0.05, 0.01), write_series=True)
         serial = fast_cfg(tmp_path, output_dir=tmp_path / "o1", workers=1, **common)
         pooled = fast_cfg(tmp_path, output_dir=tmp_path / "o2", workers=3, **common)
@@ -308,7 +327,8 @@ class TestRunExperiment:
         run_experiment(pooled)
         names = sorted(p.name for p in serial.output_dir.iterdir())
         assert names == sorted(p.name for p in pooled.output_dir.iterdir())
-        assert sum(name.startswith("series_") for name in names) == 3 * 4 * 2
+        assert sum(name.startswith("series_") for name in names) == 3 * 5 * 2
+        assert {"joint_qcnn_theta0.05.json", "joint_qcnn_theta0.01.json"} <= set(names)
         for name in names:
             a = (serial.output_dir / name).read_bytes()
             b = (pooled.output_dir / name).read_bytes()

@@ -2,8 +2,9 @@
 truncation, the fitters turn hostile inputs into qvar errors only, GARCH's
 Nelder-Mead loop matches scipy's bit for bit, price files load back
 bit-exact in date order, a run survives broken price files and gives every
-(asset, method, level) of a hostile panel one row or one skip, and broken
-VaR, results and config files end in no traceback."""
+(asset, method, level) of a hostile panel one row or one skip, a VaR of
+any finite scale is scored or refused, and broken VaR, results and config
+files end in no traceback."""
 
 import datetime as dt
 import json
@@ -29,6 +30,7 @@ from qvar.baselines import (
     garch_variance_path,
     linear_qr_var_path,
 )
+from qvar.backtest import score_forecast
 from qvar.cli import main
 from qvar.data import (
     ReturnSeries,
@@ -199,6 +201,30 @@ def test_fitters_raise_only_qvar_errors(returns, theta):
             make_windows(series, fit_scaler(series), window=32)
         except QvarError:
             pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    k=st.integers(-300, 300),
+    theta=st.sampled_from(THETAS),
+)
+# 90% of the VaR at 1e160: the DQ Gram matrix overflows and used to score a pass
+@example(seed=0, n=300, k=160, theta=0.05)
+@example(seed=0, n=300, k=153, theta=0.05)
+def test_score_forecast_takes_any_finite_var_scale(seed, n, k, theta):
+    """A finite VaR of any size is scored or refused with a QvarError; a
+    numpy warning on the way fails the test."""
+    rng = np.random.default_rng(seed)
+    returns = rng.standard_normal(n)
+    var = np.where(rng.random(n) < 0.9, 10.0**k * rng.uniform(0.5, 2.0, n), -5.0)
+    try:
+        result = score_forecast(returns, var, theta)
+    except QvarError:
+        return
+    assert math.isfinite(result.dq_statistic) and result.dq_statistic >= 0.0
+    assert 0.0 <= result.p_value <= 1.0 and math.isfinite(result.mean_var)
 
 
 def garch_objective(returns):

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_HIT_LAGS
 from .errors import DomainError, InsufficientDataError, ShapeError
-
-DEFAULT_HIT_LAGS = 3
 
 
 @dataclass(frozen=True)

@@ -10,33 +10,22 @@ import argparse
 import configparser
 import dataclasses
 import logging
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
 
-import numpy as np
-
-from .backtest import DEFAULT_HIT_LAGS, score_forecast
-from .baselines import GarchParams
-from .data import (
-    load_prices,
-    log_returns,
-    open_input,
-    parse_finite,
-    read_csv,
-    reading,
+# numpy-backed modules load inside the command that uses them, so `qvar
+# --help` loads no numpy and main() can pin the BLAS threads before it loads
+from .config import (
+    ALL_METHODS,
+    DEFAULT_HIT_LAGS,
+    GARCH11,
+    IID_NORMAL,
+    ExperimentConfig,
+    TrainConfig,
 )
 from .errors import FitError, ParseError, QvarError
-from .harness import (
-    ALL_METHODS,
-    ExperimentConfig,
-    aggregate,
-    run_experiment,
-    summary_csv_path,
-    write_summary_csv,
-)
-from .qcnn import TrainConfig
-from .synthlab import GARCH11, IID_NORMAL, SimSpec, simulate, write_price_csv
 
 logger = logging.getLogger(__name__)
 
@@ -155,6 +144,8 @@ _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"}
 
 def _load_config_file(path: Path) -> dict:
     """The config file's non-blank values, parsed and keyed by config key."""
+    from .data import open_input
+
     with open_input(path, "config file") as fh:
         text = fh.read()
     # without interpolation a '%' in a value is a plain character
@@ -202,6 +193,9 @@ def experiment_config_from_args(args) -> ExperimentConfig:
 
 
 def _cmd_simulate(args) -> int:
+    from .baselines import GarchParams
+    from .synthlab import SimSpec, simulate, write_price_csv
+
     if args.process == GARCH11:
         if args.omega is None or args.alpha is None or args.beta is None:
             raise QvarError("garch11 simulation needs --omega, --alpha and --beta")
@@ -218,7 +212,16 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def run_experiment(cfg: ExperimentConfig):
+    """qvar.harness.run_experiment, imported on the first call."""
+    from .harness import run_experiment
+
+    return run_experiment(cfg)
+
+
 def _cmd_run(args) -> int:
+    from .harness import summary_csv_path
+
     cfg = experiment_config_from_args(args)
     summaries = run_experiment(cfg)
     for theta in cfg.thetas:
@@ -233,16 +236,17 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _read_var_csv(path: Path) -> np.ndarray:
-    (values,) = read_csv(path, "VaR file", {"var": parse_finite})
-    if not values:
-        raise ParseError(f"{path}: no VaR rows")
-    return np.array(values)
-
-
 def _cmd_backtest(args) -> int:
+    import numpy as np
+
+    from .backtest import score_forecast
+    from .data import load_prices, log_returns, parse_finite, read_csv
+
     series = log_returns(load_prices(args.prices))
-    var = _read_var_csv(args.var)
+    (values,) = read_csv(args.var, "VaR file", {"var": parse_finite})
+    if not values:
+        raise ParseError(f"{args.var}: no VaR rows")
+    var = np.array(values)
     if var.size > len(series):
         raise QvarError(
             f"VaR series ({var.size}) is longer than the return series ({len(series)})"
@@ -268,6 +272,9 @@ def _method_order(method: str):
 
 
 def _cmd_report(args) -> int:
+    from .data import parse_finite, read_csv, reading
+    from .harness import aggregate, write_summary_csv
+
     results_dir = Path(args.results_dir)
     groups: dict[str, dict[str, list[_ResultRow]]] = {}
     with reading(results_dir, "results directory"):
@@ -293,6 +300,10 @@ def _cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    # qvar's matrix products are sized to run on one thread and it runs in
+    # parallel through --workers processes, so an OpenBLAS thread pool only
+    # spins. numpy and scipy read this when they load; a preset value wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

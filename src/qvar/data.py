@@ -20,10 +20,10 @@ from typing import Any, TextIO
 
 import numpy as np
 
+from .config import DEFAULT_WINDOW
 from .errors import DegenerateDataError, DomainError, InsufficientDataError, ParseError
 
 TRAIN_FRACTION = 0.7
-DEFAULT_WINDOW = 128
 
 
 @dataclass(frozen=True)

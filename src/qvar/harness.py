@@ -18,7 +18,7 @@ import logging
 import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,19 @@ from .baselines import (
     garch_var_path,
     linear_qr_var_path,
 )
+# ALL_METHODS and DEFAULT_THETAS stay importable from qvar.harness
+from .config import (  # noqa: F401
+    ALL_METHODS,
+    DEFAULT_THETAS,
+    METHOD_CONSTANT,
+    METHOD_GARCH,
+    METHOD_JOINT_QCNN,
+    METHOD_LINEAR_QR,
+    METHOD_QCNN,
+    ExperimentConfig,
+    TrainConfig,
+)
 from .data import (
-    DEFAULT_WINDOW,
     ReturnSeries,
     apply_scaler,
     fit_scaler,
@@ -43,20 +54,12 @@ from .data import (
     pool_windows,
 )
 from .errors import DomainError, InsufficientDataError, QvarError
-from .qcnn import QcnnModel, TrainConfig, predict_var_series, save_model, train
+from .qcnn import QcnnModel, predict_var_series, save_model, train
 
 logger = logging.getLogger(__name__)
 
-METHOD_CONSTANT = "constant"
-METHOD_GARCH = "garch"
-METHOD_LINEAR_QR = "linear_qr"
-METHOD_QCNN = "qcnn"
-METHOD_JOINT_QCNN = "joint_qcnn"
-ALL_METHODS = (METHOD_CONSTANT, METHOD_GARCH, METHOD_LINEAR_QR, METHOD_QCNN, METHOD_JOINT_QCNN)
 # the asset id of the one skip a joint model that fails as a whole records
 WHOLE_LEVEL = "*"
-
-DEFAULT_THETAS = (0.05, 0.01, 0.001)
 
 # the scipy modules a method's tasks import on first use. GARCH's variance
 # recursion calls scipy.linalg's BLAS; its Nelder-Mead loop is qvar's own, so a
@@ -67,44 +70,6 @@ _SCIPY_USED_BY = {
     METHOD_LINEAR_QR: ("scipy.optimize",),
     METHOD_QCNN: (),
 }
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a full run needs; flags and config files both map onto this."""
-
-    manifest: Path
-    output_dir: Path
-    thetas: tuple[float, ...] = DEFAULT_THETAS
-    methods: tuple[str, ...] = ALL_METHODS
-    train: TrainConfig = field(default_factory=TrainConfig)
-    window: int = DEFAULT_WINDOW
-    stride: int = 1
-    seed: int = 0
-    sample_size: int | None = None
-    workers: int | None = None
-    write_series: bool = False
-
-    def __post_init__(self):
-        for name in ("methods", "thetas"):
-            values = getattr(self, name)
-            if not values:
-                raise DomainError(f"{name} list must not be empty")
-            if len(set(values)) != len(values):
-                raise DomainError(f"{name} list repeats a value: {values}")
-        for m in self.methods:
-            if m not in ALL_METHODS:
-                raise DomainError(f"unknown method {m!r}; choose from {ALL_METHODS}")
-        for t in self.thetas:
-            if not 0.0 < t < 1.0:
-                raise DomainError(f"theta {t} must lie strictly inside (0, 1)")
-        for name in ("window", "stride", "sample_size", "workers"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise DomainError(f"{name} must be >= 1, got {value}")
-        # derive_seed keys its hash with the seed's 8 unsigned bytes
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import TrainConfig
 from .data import Scaler, WindowSet, invert_scaler
 from .errors import DomainError, InsufficientDataError, ShapeError
 
@@ -99,23 +100,6 @@ class QcnnModel:
     @property
     def receptive_field(self) -> int:
         return 1 + sum(l.dilation * (l.kernel_size - 1) for l in self.layers)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 128
-    batch_size: int = 128
-    seed: int = 0
-    rho: float = 0.95
-    epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise DomainError("epochs and batch_size must be >= 1")
-        if not 0.0 < self.rho < 1.0:
-            raise DomainError("rho must lie strictly inside (0, 1)")
-        if not 0.0 < self.epsilon < np.inf:
-            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 def build_model(
@@ -219,7 +203,8 @@ def causal_conv_forward(x, layer: ConvLayer):
 # this many sequence positions (at least one whole sequence). Each layer's
 # buffers then stay in L2 cache instead of streaming a whole batch through L3
 # on every pass, and each product stays small enough that OpenBLAS runs it on
-# one thread; threading whole-batch products doubled CPU time for no gain.
+# one thread even where a caller leaves OpenBLAS threaded (the `qvar` command
+# pins it to one); threading whole-batch products doubled CPU time for no gain.
 SUB_BATCH_COLUMNS = 2048
 
 

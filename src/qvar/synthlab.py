@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import GarchParams, gaussian_quantile
+from .config import GARCH11, IID_NORMAL
 from .data import ReturnSeries, prices_from_returns
 from .errors import DomainError
 
@@ -51,10 +52,6 @@ class SplitMix64:
     def normals(self, n: int, start: int = 0) -> np.ndarray:
         """Standard normal draws via the inverse-CDF of the uniform stream."""
         return gaussian_quantile(self.uniforms(n, start))
-
-
-IID_NORMAL = "iid_normal"
-GARCH11 = "garch11"
 
 
 @dataclass(frozen=True)

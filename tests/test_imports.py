@@ -1,4 +1,5 @@
-"""Which scipy modules a qvar process loads, each case in a fresh interpreter."""
+"""What a qvar process loads and how many BLAS threads it starts, each case
+in a fresh interpreter."""
 
 import json
 import os
@@ -18,14 +19,20 @@ SRC = Path(qvar.__file__).resolve().parents[1]
 WATCHED = ("scipy.linalg", "scipy.optimize", "scipy.signal")
 
 
-def run_python(*parts: str):
+def checkout_env(environ=None) -> dict:
+    """The environment (default: this process's) with this checkout first on the path."""
+    environ = os.environ if environ is None else environ
+    path = [str(SRC), *filter(None, environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def run_python(*parts: str, environ=None):
     """Run the parts as one script in a new interpreter that sees this checkout.
 
     Returns the JSON value the script prints last.
     """
     code = "\n".join(textwrap.dedent(part) for part in ("import json, sys", *parts))
-    path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = checkout_env(environ)
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
@@ -33,18 +40,24 @@ def run_python(*parts: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def experiment(tmp_path, methods, workers) -> str:
-    """A script part that runs the methods over a two-asset panel at one level."""
+def write_panel(tmp_path, length=300) -> Path:
+    """A two-asset GARCH panel; returns its manifest."""
     garch = GarchParams(omega=0.05, alpha=0.1, beta=0.85, mu=0.0)
     names = []
     for i in range(2):
         series, _ = simulate(
-            SimSpec(process=GARCH11, length=300, seed=700 + i, garch=garch), asset_id=f"a{i}"
+            SimSpec(process=GARCH11, length=length, seed=700 + i, garch=garch), asset_id=f"a{i}"
         )
         write_price_csv(series, tmp_path / f"a{i}.csv")
         names.append(f"a{i}.csv")
     manifest = tmp_path / "assets.txt"
     manifest.write_text("\n".join(names) + "\n")
+    return manifest
+
+
+def experiment(tmp_path, methods, workers) -> str:
+    """A script part that runs the methods over a two-asset panel at one level."""
+    manifest = write_panel(tmp_path)
     return f"""
         from pathlib import Path
         from qvar.harness import ExperimentConfig, run_experiment
@@ -58,15 +71,47 @@ def experiment(tmp_path, methods, workers) -> str:
         """
 
 
-def test_cli_import_loads_no_scipy_submodule():
-    loaded = run_python(
+@pytest.mark.parametrize("statement", ["import qvar", "import qvar.cli"], ids=["qvar", "qvar.cli"])
+def test_import_loads_no_numpy(statement):
+    assert run_python(statement, 'print(json.dumps("numpy" in sys.modules))') is False
+
+
+def test_help_loads_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qvar.cli", "--help"],
+        env=checkout_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: qvar")
+    # each "import time:" line ends with the name of one module it loaded
+    loaded = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "qvar.config" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+
+
+def test_every_public_name_is_its_submodule_object():
+    wrong = run_python(
         """
-        import qvar.cli
-        names = ("scipy.linalg", "scipy.optimize", "scipy.signal", "scipy.special", "scipy.stats")
-        print(json.dumps([m for m in names if m in sys.modules]))
+        import qvar
+        wrong = []
+        for name in qvar.__all__[1:]:
+            scope = {}
+            exec(f"from qvar import {name}", scope)
+            obj = scope[name]
+            home = obj.__module__
+            if not home.startswith("qvar.") or getattr(sys.modules[home], name) is not obj:
+                wrong.append(name)
+        print(json.dumps([qvar.__all__[0], wrong]))
         """
     )
-    assert loaded == []
+    assert wrong == ["__version__", []]
+
+
+def test_from_qvar_imports_a_submodule():
+    assert run_python(
+        "from qvar import baselines",
+        'print(json.dumps([baselines.__name__, sys.modules["qvar.baselines"] is baselines]))',
+    ) == ["qvar.baselines", True]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -148,3 +193,52 @@ def test_garch_run_never_loads_scipy_optimize(tmp_path, workers):
     assert json.loads((out / "run_manifest.json").read_text())["skipped"] == []
     rows = (out / "results_garch_theta0.05.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["a0", "a1"]
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_run_pins_openblas_to_one_thread_unless_preset(tmp_path, preset):
+    # main() sets the variable in its own process, so it runs in a fresh one
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        environ["OPENBLAS_NUM_THREADS"] = preset
+    manifest, out = write_panel(tmp_path), tmp_path / "out"
+    value, threads = run_python(
+        f"""
+        import os
+        from qvar.cli import main
+        code = main(["run", "--manifest", {str(manifest)!r}, "--output-dir", {str(out)!r},
+                     "--methods", "constant,garch", "--theta", "0.05", "--workers", "1"])
+        assert code == 0 and "scipy.linalg" in sys.modules
+        task = "/proc/self/task"
+        threads = len(os.listdir(task)) if os.path.isdir(task) else None
+        print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"], threads]))
+        """,
+        environ=environ,
+    )
+    assert value == (preset or "1")
+    if preset is None:
+        if threads is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        # numpy's and scipy's OpenBLAS each started no helper thread
+        assert threads == 1
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    manifest = write_panel(tmp_path, length=400)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qvar.cli", "run", "--manifest", str(manifest),
+             "--output-dir", str(out), "--methods", ",".join(ALL_METHODS),
+             "--theta", "0.05,0.01", "--window", "32", "--epochs", "1", "--workers", "2",
+             "--write-series"],
+            env=checkout_env({**os.environ, "OPENBLAS_NUM_THREADS": threads}),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        files["run_manifest.json"] = files["run_manifest.json"].replace(str(out).encode(), b"OUT")
+        outputs.append(files)
+    assert len(outputs[0]) > 20
+    assert outputs[0] == outputs[1]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_HIT_LAGS
+from .config import DEFAULT_HIT_LAGS, check_quantile_level
 from .errors import DomainError, InsufficientDataError, ShapeError
 
 
@@ -29,8 +29,7 @@ class HitSeries:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if not 0.0 < self.theta < 1.0:
-            raise DomainError("quantile level must lie strictly inside (0, 1)")
+        check_quantile_level(self.theta)
         ok = (values == 1.0 - self.theta) | (values == -self.theta)
         if not np.all(ok):
             raise DomainError("hit values must be exactly 1-theta or -theta")
@@ -69,8 +68,6 @@ def hits(returns, var, theta: float) -> HitSeries:
     var = np.asarray(var, dtype=float)
     if returns.shape != var.shape:
         raise ShapeError(f"returns ({returns.shape}) and VaR ({var.shape}) lengths differ")
-    if not 0.0 < theta < 1.0:
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
     values = np.where(returns < -var, 1.0 - theta, -theta)
     return HitSeries(values=values, theta=theta)
 

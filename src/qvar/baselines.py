@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_quantile_level
 from .errors import DomainError, FitError, InsufficientDataError
 
 # ---------------------------------------------------------------------------
@@ -108,8 +109,7 @@ def constant_quantile(xs, theta: float) -> float:
     Sorts ascending and evaluates x_[i] + (i - [i]) * (x_[i]+1 - x_[i]) at
     the 1-based index i = (N - 1) * theta + 1.
     """
-    if not 0.0 < theta < 1.0:
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
+    check_quantile_level(theta)
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         raise InsufficientDataError("cannot take the quantile of an empty sample")
@@ -416,8 +416,7 @@ class QrCoefficients:
         object.__setattr__(self, "lag_weights", weights)
         if weights.ndim != 1:
             raise DomainError("lag weights must be a flat vector")
-        if not 0.0 < self.theta < 1.0:
-            raise DomainError("quantile level must lie strictly inside (0, 1)")
+        check_quantile_level(self.theta)
 
 
 def _lag_matrix(returns: np.ndarray, lags: int):
@@ -437,8 +436,7 @@ def fit_linear_qr(train_returns, theta: float, lags: int = QR_LAGS) -> QrCoeffic
     """
     from scipy.optimize import linprog
 
-    if not 0.0 < theta < 1.0:
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
+    check_quantile_level(theta)
     returns = np.asarray(train_returns, dtype=float)
     if returns.size < MIN_QR_OBS:
         raise InsufficientDataError(

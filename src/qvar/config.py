@@ -27,6 +27,11 @@ IID_NORMAL = "iid_normal"
 GARCH11 = "garch11"
 
 
+def check_quantile_level(theta: float) -> None:
+    if not 0.0 < theta < 1.0:
+        raise DomainError("quantile level must lie strictly inside (0, 1)")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 128

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, check_quantile_level
 from .data import Scaler, WindowSet, invert_scaler
 from .errors import DomainError, InsufficientDataError, ShapeError
 
@@ -79,8 +79,7 @@ class QcnnModel:
     theta: float
 
     def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise DomainError("quantile level must lie strictly inside (0, 1)")
+        check_quantile_level(self.theta)
         layers = [*self.hidden_layers, self.head]
         if layers[0].in_channels != 1:
             raise ShapeError("first layer must take a single input channel")
@@ -337,8 +336,7 @@ def _forward(model, ws, buf, m, widths, x=None, stable=False, at=None) -> np.nda
 
 def pinball_loss(y, q, theta: float) -> float:
     """Mean quantile loss: theta*(y-q) where y >= q, (theta-1)*(y-q) where y < q."""
-    if not 0.0 < theta < 1.0:
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
+    check_quantile_level(theta)
     y = np.asarray(y, dtype=float)
     q = np.asarray(q, dtype=float)
     if y.shape != q.shape:
@@ -354,14 +352,14 @@ def _pinball_terms(diff, w, theta: float, n: int):
     return loss, np.where(diff >= 0, -theta, 1.0 - theta) * w / n
 
 
-def _backward(model, ws, buf, m, widths, dact, first, at=None, shared=False) -> None:
+def _backward(model, ws, buf, m, widths, dact, at=None, shared=False) -> None:
     """Backpropagate dact, the loss gradient on the head's output in buf, through every layer.
 
-    Layer i's weight gradient goes to ws.grad[i], written if `first`, else
-    added. With `shared`, the gradient on each layer's input adds
-    ws.shared[i] before the mask of the layer that output it. With `at`
-    (see _forward), the gradient on the gathered columns is scattered into
-    ws.shared for the main pass's backward to add.
+    Layer i's weight gradient is added to ws.grad[i]. With `shared`, the
+    gradient on each layer's input adds ws.shared[i] before the mask of the
+    layer that output it. With `at` (see _forward), the gradient on the
+    gathered columns is scattered into ws.shared for the main pass's
+    backward to add.
     """
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
@@ -369,10 +367,7 @@ def _backward(model, ws, buf, m, widths, dact, first, at=None, shared=False) -> 
         cols = widths[i] * m
         if layer.activation == RECTIFIER:
             np.multiply(dact, buf.out[i] > 0, out=dact)
-        if first:
-            np.matmul(dact, buf.xin[i].T, out=ws.grad[i])
-        else:
-            ws.grad[i] += dact @ buf.xin[i].T
+        ws.grad[i] += dact @ buf.xin[i].T
         if i == 0:
             break
         # one flat row per tap, so that the fold below adds contiguous runs
@@ -411,18 +406,19 @@ def _loss_and_grads(model, blocks, n, ws, grad) -> float:
     pinball sum over positions 0..R-2 of the zero-padded window starting at
     X[0, h] (see _step_blocks); W = 1 with n = X.size and no heads is the
     batch mean. Blocks run forward and backward in ws.main, in consecutive
-    sub-batches of ws.cols // T sequences laid out position-major, and the
-    sub-batch gradients are summed in order. A block with heads runs in four
-    parts: the series pass forward; the prefix forward and backward in
-    ws.prefix for each group of at most ws.prefix_group heads; then the
-    series pass backward, which adds the prefix's gradient on each layer's
-    input before the mask of the layer that output it.
+    sub-batches of ws.cols // T sequences laid out position-major, and each
+    backward pass adds its gradient, in order, to ws.packed_grad, zeroed
+    first. A block with heads runs in four parts: the series pass forward;
+    the prefix forward and backward in ws.prefix for each group of at most
+    ws.prefix_group heads; then the series pass backward, which adds the
+    prefix's gradient on each layer's input before the mask of the layer
+    that output it.
     """
     theta = model.theta
     layers = model.layers
     ws.pack(model)
+    ws.packed_grad[:] = 0.0
     loss = 0.0
-    first = True
     for X, Y, W, heads in blocks:
         T = X.shape[1]
         widths = (T,) * len(layers)
@@ -444,11 +440,9 @@ def _loss_and_grads(model, blocks, n, ws, grad) -> float:
                     q = _forward(model, ws, ws.prefix, few.size, ws.reach, at=at)
                     part, pdact = _pinball_terms(Y[0, at] - q, 1.0, theta, n)
                     loss += part
-                    _backward(model, ws, ws.prefix, few.size, ws.reach, pdact, first, at=at)
-                    first = False
+                    _backward(model, ws, ws.prefix, few.size, ws.reach, pdact, at=at)
             dact = dact.reshape(1, -1)
-            _backward(model, ws, ws.main, m, widths, dact, first, shared=heads is not None)
-            first = False
+            _backward(model, ws, ws.main, m, widths, dact, shared=heads is not None)
     np.take(ws.packed_grad, ws.order, out=grad)
     return loss / n
 
@@ -561,42 +555,34 @@ def backward(model: QcnnModel, x, y) -> list[np.ndarray]:
 
 @dataclass
 class AdadeltaState:
-    """Exponential accumulators of squared gradients and squared updates."""
+    """Exponential accumulators of squared gradients and squared updates,
+    each an array shaped like the parameters."""
 
-    sq_grad: list[np.ndarray]
-    sq_update: list[np.ndarray]
+    sq_grad: np.ndarray
+    sq_update: np.ndarray
     rho: float
     epsilon: float
 
     @classmethod
-    def for_params(cls, params, rho: float, epsilon: float) -> "AdadeltaState":
-        return cls(
-            sq_grad=[np.zeros_like(p) for p in params],
-            sq_update=[np.zeros_like(p) for p in params],
-            rho=rho,
-            epsilon=epsilon,
-        )
+    def for_params(cls, params: np.ndarray, rho: float, epsilon: float) -> "AdadeltaState":
+        return cls(np.zeros_like(params), np.zeros_like(params), rho, epsilon)
 
 
-def adadelta_step(params, grads, state: AdadeltaState):
+def adadelta_step(params: np.ndarray, grad: np.ndarray, state: AdadeltaState) -> None:
     """One in-place update: delta = -sqrt(E[dx^2]+eps)/sqrt(E[g^2]+eps) * g.
 
     The squared-gradient accumulator is refreshed before the step and the
     squared-update accumulator after it, both with decay rho.
     """
-    if not (len(params) == len(grads) == len(state.sq_grad) == len(state.sq_update)):
-        raise ShapeError("parameter, gradient and accumulator counts differ")
-    rho, eps = state.rho, state.epsilon
-    for p, g, eg, ex in zip(params, grads, state.sq_grad, state.sq_update):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        eg *= rho
-        eg += (1.0 - rho) * g * g
-        delta = -np.sqrt(ex + eps) / np.sqrt(eg + eps) * g
-        p += delta
-        ex *= rho
-        ex += (1.0 - rho) * delta * delta
-    return params, state
+    if not params.shape == grad.shape == state.sq_grad.shape == state.sq_update.shape:
+        raise ShapeError(f"gradient or accumulators do not match parameter shape {params.shape}")
+    rho, eps, eg, ex = state.rho, state.epsilon, state.sq_grad, state.sq_update
+    eg *= rho
+    eg += (1.0 - rho) * grad * grad
+    delta = -np.sqrt(ex + eps) / np.sqrt(eg + eps) * grad
+    params += delta
+    ex *= rho
+    ex += (1.0 - rho) * delta * delta
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +619,7 @@ def train(
     # accumulators, so a step's update is one elementwise pass
     params = _flatten_parameters(model)
     grad = np.empty_like(params)
-    state = AdadeltaState.for_params([params], cfg.rho, cfg.epsilon)
+    state = AdadeltaState.for_params(params, cfg.rho, cfg.epsilon)
     ws = _Workspace(model, max(T, SUB_BATCH_COLUMNS))
     days, group, start = _concat_series(windows)
     for _ in range(cfg.epochs):
@@ -642,7 +628,7 @@ def train(
             idx = perm[lo : lo + cfg.batch_size]
             blocks = _step_blocks(idx, days, group, start, T, model.receptive_field, ws.cols)
             _loss_and_grads(model, blocks, idx.size * T, ws, grad)
-            adadelta_step([params], [grad], state)
+            adadelta_step(params, grad, state)
     return model
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import GarchParams, gaussian_quantile
 from .config import GARCH11, IID_NORMAL
-from .data import ReturnSeries, prices_from_returns
+from .data import TRAIN_FRACTION, ReturnSeries, prices_from_returns
 from .errors import DomainError
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -103,7 +103,7 @@ def simulate(spec: SimSpec, asset_id: str | None = None) -> tuple[ReturnSeries, 
             eps_prev = math.sqrt(sigma2[t]) * z[t]
             returns[t] = p.mu + eps_prev
         sigma = np.sqrt(sigma2)
-    split = int(math.floor(0.7 * spec.length))
+    split = int(math.floor(TRAIN_FRACTION * spec.length))
     series = ReturnSeries(asset_id=asset_id, returns=returns, split_index=split)
     return series, sigma
 

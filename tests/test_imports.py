@@ -12,6 +12,7 @@ import pytest
 
 import qvar
 from qvar.baselines import GarchParams
+from qvar.cli import main
 from qvar.harness import ALL_METHODS
 from qvar.synthlab import GARCH11, SimSpec, simulate, write_price_csv
 
@@ -242,3 +243,18 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path):
         outputs.append(files)
     assert len(outputs[0]) > 20
     assert outputs[0] == outputs[1]
+
+
+# the next two tests run in this order: the first leaves main()'s pin in
+# os.environ, and the second must not see it
+SESSION_BLAS_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
+
+
+def test_in_process_main_sets_the_pin(tmp_path):
+    os.environ.pop("OPENBLAS_NUM_THREADS", None)
+    assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_the_pin_does_not_outlive_the_test_that_set_it():
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == SESSION_BLAS_THREADS

@@ -413,26 +413,47 @@ class TestTwoPassStep:
             assert X.shape[0] == 1
             assert h is None or h.max() + R - 1 <= X.shape[1]
 
+    def test_reused_workspace_gives_a_fresh_workspaces_gradient(self):
+        # every call must zero the gradient its passes add to: a second call
+        # on the same blocks and workspace gives the same bits as a new one
+        rng = np.random.default_rng(9)
+        windows = pooled_windows(2, 700, 100, 1, seed=9)
+        model = build_model(0.05, rng=rng)
+        idx = rng.permutation(len(windows))[:128]
+        n = idx.size * windows.window
+
+        def gradient(ws):
+            blocks = _step_blocks(
+                idx, *_concat_series(windows), windows.window, model.receptive_field, ws.cols
+            )
+            assert any(heads is not None for *_, heads in blocks)  # prefix passes run
+            grad = np.empty(sum(p.size for p in model_parameters(model)))
+            loss = _loss_and_grads(model, blocks, n, ws, grad)
+            return loss, grad.tobytes()
+
+        ws = _Workspace(model, SUB_BATCH_COLUMNS)
+        first = gradient(ws)
+        assert gradient(ws) == first == gradient(_Workspace(model, SUB_BATCH_COLUMNS))
+
 
 class TestAdadelta:
     def test_zero_gradient(self):
-        params = [np.array([1.0, -2.0])]
-        grads = [np.zeros(2)]
+        params = np.array([1.0, -2.0])
         state = AdadeltaState.for_params(params, rho=0.9, epsilon=1e-6)
-        state.sq_grad[0][:] = 4.0
-        state.sq_update[0][:] = 9.0
-        adadelta_step(params, grads, state)
-        assert params[0].tolist() == [1.0, -2.0]
-        assert np.allclose(state.sq_grad[0], 0.9 * 4.0)
-        assert np.allclose(state.sq_update[0], 0.9 * 9.0)
+        state.sq_grad[:] = 4.0
+        state.sq_update[:] = 9.0
+        adadelta_step(params, np.zeros(2), state)
+        assert params.tolist() == [1.0, -2.0]
+        assert np.allclose(state.sq_grad, 0.9 * 4.0)
+        assert np.allclose(state.sq_update, 0.9 * 9.0)
 
     def test_first_step_formula(self):
         rho, eps, g = 0.95, 1e-6, 0.3
-        params = [np.array([0.5])]
+        params = np.array([0.5])
         state = AdadeltaState.for_params(params, rho=rho, epsilon=eps)
-        adadelta_step(params, [np.array([g])], state)
+        adadelta_step(params, np.array([g]), state)
         expected_delta = -g * math.sqrt(eps) / math.sqrt((1 - rho) * g * g + eps)
-        assert params[0][0] == pytest.approx(0.5 + expected_delta, abs=1e-15)
+        assert params[0] == pytest.approx(0.5 + expected_delta, abs=1e-15)
 
     def test_two_identical_steps(self):
         # hand trace: the second update magnitude reflects accumulator growth
@@ -442,18 +463,21 @@ class TestAdadelta:
         ex = (1 - rho) * d1 * d1
         eg2 = rho * eg + (1 - rho) * g * g
         d2 = -math.sqrt(ex + eps) / math.sqrt(eg2 + eps) * g
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdadeltaState.for_params(params, rho=rho, epsilon=eps)
-        adadelta_step(params, [np.array([g])], state)
-        adadelta_step(params, [np.array([g])], state)
-        assert params[0][0] == pytest.approx(d1 + d2, abs=1e-15)
+        adadelta_step(params, np.array([g]), state)
+        adadelta_step(params, np.array([g]), state)
+        assert params[0] == pytest.approx(d1 + d2, abs=1e-15)
         assert abs(d2) != abs(d1)
 
     def test_shape_mismatch(self):
-        params = [np.zeros(3)]
-        state = AdadeltaState.for_params(params, rho=0.95, epsilon=1e-6)
-        with pytest.raises(ShapeError):
-            adadelta_step(params, [np.zeros(2)], state)
+        # a gradient or accumulators shaped unlike the parameters
+        params = np.zeros(3)
+        for grad_size, state_size in [(2, 3), (3, 2)]:
+            state = AdadeltaState.for_params(np.zeros(state_size), rho=0.95, epsilon=1e-6)
+            with pytest.raises(ShapeError):
+                adadelta_step(params, np.zeros(grad_size), state)
+        assert params.tolist() == [0.0, 0.0, 0.0]
 
 
 def make_window_set(series):
@@ -478,12 +502,12 @@ class TestTrain:
         rng2 = np.random.default_rng(99)
         model = build_model(0.1, rng=rng2)
         rng2.permutation(1)
-        params = model_parameters(model)
+        params = np.concatenate([p.ravel() for p in model_parameters(model)])
+        grad = np.concatenate([g.ravel() for g in backward(model, ws.inputs[0], ws.targets[0])])
         state = AdadeltaState.for_params(params, cfg.rho, cfg.epsilon)
-        grads = backward(model, ws.inputs[0], ws.targets[0])
-        adadelta_step(params, grads, state)
-        for got, expected in zip(model_parameters(trained), params):
-            assert np.array_equal(got, expected)
+        adadelta_step(params, grad, state)
+        got = np.concatenate([p.ravel() for p in model_parameters(trained)])
+        assert np.array_equal(got, params)
 
     def test_parameters_are_contiguous_views_of_one_vector(self):
         # criterion 1 and TestBackward perturb a parameter through p.ravel(),

@@ -3,16 +3,21 @@ normal innovations, and linear quantile autoregression with 4 lags.
 
 All VaR numbers follow the sign convention VaR = -(predicted return
 quantile), so a typical lower-tail forecast comes out positive. The scipy
-modules used here are imported by the functions that call them, so
-importing qvar does not load them: GARCH's variance recursion imports
-`scipy.linalg`'s BLAS and the quantile autoregression imports
-`scipy.optimize.linprog`. The GARCH fit's Nelder-Mead loop is written out
-here, so a GARCH run never loads `scipy.optimize`.
+code used here is loaded by the functions that call it, so importing qvar
+does not load it: the quantile autoregression imports
+`scipy.optimize.linprog`, and GARCH's variance recursion loads scipy's BLAS
+extension `scipy.linalg._fblas` by file for `dtbsv`. That is the object
+`scipy.linalg.blas.dtbsv` re-exports, so its bits are scipy's; a numpy scan
+or a Python loop rounds the recursion's fused multiply-add differently.
+Loading it costs 15-25 ms and 3.5 MB per process, against 0.28-0.33 s and
+27 MB for `import scipy.linalg` after numpy. The GARCH fit's Nelder-Mead
+loop is written out here, so a GARCH run loads no scipy submodule.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,17 +164,41 @@ class GarchParams:
         return self.omega / (1.0 - self.alpha - self.beta)
 
 
+_FBLAS = "scipy.linalg._fblas"
+
+
+def _fblas():
+    # scipy's BLAS extension, which scipy.linalg.blas re-exports. The first call
+    # loads it by file, without importing scipy.linalg, and enters it in
+    # sys.modules under its own name, so an import of scipy.linalg before or
+    # after shares the one module and its dtbsv
+    module = sys.modules.get(_FBLAS)
+    if module is None:
+        import importlib.machinery
+        import importlib.util
+        import os
+
+        import scipy
+
+        linalg_dir = os.path.join(scipy.__path__[0], "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(_FBLAS, [linalg_dir])
+        if spec is None:
+            raise ImportError(f"scipy has no BLAS extension {_FBLAS} in {linalg_dir}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_FBLAS] = module
+        spec.loader.exec_module(module)
+    return module
+
+
 def _variance_recursion(eps2: np.ndarray, omega: float, alpha: float, beta: float, init_var: float):
     # sigma2[t] = (omega + alpha*eps2[t-1]) + beta*sigma2[t-1] solves the unit lower
     # bidiagonal system (I - beta*shift) sigma2 = driver: one BLAS dtbsv call. It
     # runs one day past the data, so sigma2[-1] is the next day's variance.
-    from scipy.linalg.blas import dtbsv
-
     driver = np.empty(eps2.size + 1)
     driver[0] = init_var
     driver[1:] = omega + alpha * eps2
     band = np.full((2, driver.size), -beta, order="F")
-    return dtbsv(1, band, driver, lower=1, diag=1, overwrite_x=1)
+    return _fblas().dtbsv(1, band, driver, lower=1, diag=1, overwrite_x=1)
 
 
 def _variances_ahead(returns, params: GarchParams, init_var: float | None):

@@ -117,10 +117,11 @@ def test_from_qvar_imports_a_submodule():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_constant_and_qcnn_run_loads_no_solver(tmp_path, workers):
-    # chi2_sf sums the chi-square tail itself, so scoring loads no scipy.special
+    # chi2_sf sums the chi-square tail itself, so scoring loads no scipy.special,
+    # and GARCH loads only scipy's BLAS extension
     watched = (*WATCHED, "scipy.special")
     loaded = run_python(
-        experiment(tmp_path, ("constant", "qcnn", "joint_qcnn"), workers),
+        experiment(tmp_path, ("constant", "garch", "qcnn", "joint_qcnn"), workers),
         f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))",
     )
     assert loaded == []
@@ -145,10 +146,11 @@ def modules_at_fork(tmp_path, methods):
 
 
 def test_garch_pool_parent_holds_solvers_before_fork(tmp_path):
-    # GARCH's Nelder-Mead loop is qvar's own; only its BLAS solve needs scipy
+    # GARCH's Nelder-Mead loop is qvar's own and each worker loads the BLAS
+    # extension for its solve, so the parent imports nothing for it
     before, at_fork = modules_at_fork(tmp_path, ("constant", "garch"))
     assert before == []
-    assert at_fork == ["scipy.linalg"]
+    assert at_fork == []
 
 
 def test_linear_qr_pool_parent_holds_linprog_before_fork(tmp_path):
@@ -180,20 +182,65 @@ def test_run_of_every_method_never_loads_scipy_signal(tmp_path, workers):
     assert loaded is False
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_garch_run_never_loads_scipy_optimize(tmp_path, workers):
-    # the run must also succeed: a GARCH fit that needed scipy.optimize would
-    # fail, and its asset would be skipped
+def run_garch_refusing(tmp_path, package: str, workers: int):
+    """Run constant and GARCH over the two-asset panel with the package
+    refused. The run must also succeed: a GARCH fit that needed the package
+    would fail, and its asset would be skipped."""
     out = tmp_path / "out"
     loaded = run_python(
-        refusing("scipy.optimize"),
+        refusing(package),
         experiment(tmp_path, ("constant", "garch"), workers),
-        'print(json.dumps("scipy.optimize" in sys.modules))',
+        f"print(json.dumps({package!r} in sys.modules))",
     )
     assert loaded is False
     assert json.loads((out / "run_manifest.json").read_text())["skipped"] == []
     rows = (out / "results_garch_theta0.05.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows[1:]] == ["a0", "a1"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_garch_run_never_loads_scipy_optimize(tmp_path, workers):
+    run_garch_refusing(tmp_path, "scipy.optimize", workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_garch_run_never_loads_scipy_linalg(tmp_path, workers):
+    # the variance recursion loads scipy's BLAS extension by file
+    run_garch_refusing(tmp_path, "scipy.linalg", workers)
+
+
+def test_variance_recursion_calls_scipy_linalg_dtbsv():
+    # loaded by file before scipy.linalg, the extension is the one that
+    # scipy.linalg.blas re-exports when it is imported later
+    assert run_python(
+        """
+        import numpy as np
+        from qvar import baselines
+        eps2 = np.random.default_rng(5).standard_normal(1000) ** 2
+        first = baselines._variance_recursion(eps2, 0.05, 0.1, 0.85, 1.0)
+        early = "scipy.linalg" in sys.modules
+        import scipy.linalg.blas
+        again = baselines._variance_recursion(eps2, 0.05, 0.1, 0.85, 1.0)
+        print(json.dumps([early, baselines._fblas().dtbsv is scipy.linalg.blas.dtbsv,
+                          first.tobytes() == again.tobytes()]))
+        """
+    ) == [False, True, True]
+
+
+def test_missing_blas_extension_is_an_import_error(tmp_path):
+    # one code path: no fallback to another BLAS when scipy lacks the extension
+    assert run_python(
+        f"""
+        import numpy as np
+        import scipy
+        from qvar import baselines
+        scipy.__path__ = [{str(tmp_path)!r}]
+        try:
+            baselines._variance_recursion(np.ones(3), 0.05, 0.1, 0.85, 1.0)
+        except ImportError as exc:
+            print(json.dumps(str(exc)))
+        """
+    ) == f"scipy has no BLAS extension scipy.linalg._fblas in {tmp_path / 'linalg'}"
 
 
 @pytest.mark.parametrize("preset", [None, "2"])
@@ -203,23 +250,29 @@ def test_run_pins_openblas_to_one_thread_unless_preset(tmp_path, preset):
     if preset is not None:
         environ["OPENBLAS_NUM_THREADS"] = preset
     manifest, out = write_panel(tmp_path), tmp_path / "out"
-    value, threads = run_python(
+    value, threads, scipy_blas = run_python(
         f"""
         import os
         from qvar.cli import main
         code = main(["run", "--manifest", {str(manifest)!r}, "--output-dir", {str(out)!r},
                      "--methods", "constant,garch", "--theta", "0.05", "--workers", "1"])
-        assert code == 0 and "scipy.linalg" in sys.modules
-        task = "/proc/self/task"
+        assert code == 0
+        task, maps = "/proc/self/task", "/proc/self/maps"
         threads = len(os.listdir(task)) if os.path.isdir(task) else None
-        print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"], threads]))
+        scipy_blas = None
+        if os.path.isfile(maps):
+            with open(maps) as lines:
+                scipy_blas = any("/libscipy_openblas-" in line for line in lines)
+        print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"], threads, scipy_blas]))
         """,
         environ=environ,
     )
     assert value == (preset or "1")
+    if threads is None or scipy_blas is None:
+        pytest.skip("no /proc/self to count threads and mapped libraries in")
+    # the GARCH fit mapped scipy's OpenBLAS beside numpy's (libscipy_openblas64_)
+    assert scipy_blas
     if preset is None:
-        if threads is None:
-            pytest.skip("no /proc/self/task to count threads in")
         # numpy's and scipy's OpenBLAS each started no helper thread
         assert threads == 1
 

@@ -1,10 +1,10 @@
 """Property tests: every forecaster keeps the path contract under random
 truncation, the fitters turn hostile inputs into qvar errors only, GARCH's
-Nelder-Mead loop matches scipy's bit for bit, price files load back
-bit-exact in date order, a run survives broken price files and gives every
-(asset, method, level) of a hostile panel one row or one skip, a VaR of
-any finite scale is scored or refused, and broken VaR, results and config
-files end in no traceback."""
+variance recursion and Nelder-Mead loop match scipy's bit for bit, price
+files load back bit-exact in date order, a run survives broken price files
+and gives every (asset, method, level) of a hostile panel one row or one
+skip, a VaR of any finite scale is scored or refused, and broken VaR,
+results and config files end in no traceback."""
 
 import datetime as dt
 import json
@@ -14,6 +14,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
+import scipy.linalg.blas
 import scipy.optimize
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -123,6 +124,27 @@ def test_garch_variance_path_is_the_recursion(case):
         path, variance_loop(returns, params, init_var), rtol=1e-13, atol=np.finfo(float).tiny
     )
     assert np.array_equal(garch_variance_path(returns[:cut], params, init_var), path[:cut])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from((1e-4, 0.01, 1.0, 1e50)),
+    omega=st.floats(0.0, 1.0, exclude_min=True),
+    alpha=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, 1.0, exclude_max=True),
+    init_var=st.floats(5e-324, 1e300),
+)
+def test_variance_recursion_is_scipy_dtbsv(n, seed, scale, omega, alpha, beta, init_var):
+    # the recursion is a fused multiply-add scan whose bits only BLAS gives;
+    # this pins qvar's band solve to scipy's dtbsv on the same system
+    eps2 = (scale * np.random.default_rng(seed).standard_normal(n)) ** 2
+    driver = np.r_[init_var, omega + alpha * eps2]
+    band = np.full((2, n + 1), -beta, order="F")
+    want = scipy.linalg.blas.dtbsv(1, band, driver, lower=1, diag=1)
+    got = baselines._variance_recursion(eps2, omega, alpha, beta, init_var)
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,15 +11,17 @@ and predicts each asset with that asset's own scaler.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import importlib
 import json
 import logging
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+
+# hashlib's own blake2b: importing hashlib loads OpenSSL's libcrypto (3.6 MB
+# per process), which hashlib never uses for blake2b
+from _blake2 import blake2b
 
 import numpy as np
 
@@ -102,7 +104,7 @@ class MethodSummary:
 def derive_seed(master: int, *parts) -> int:
     """Stable per-task sub-seed from the master seed and task identity."""
     key = int(master).to_bytes(8, "little", signed=False)
-    h = hashlib.blake2b(digest_size=8, key=key)
+    h = blake2b(digest_size=8, key=key)
     for part in parts:
         h.update(str(part).encode())
         h.update(b"\x1f")
@@ -285,7 +287,7 @@ def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
                 method=method,
                 n_assets=len(method_results),
                 exceedance_mean=float(np.mean(rates)),
-                exceedance_median=float(np.median(rates)),
+                exceedance_median=_median(rates),
                 exceedance_sd=float(np.std(rates)),
                 dq_rejection_rate_01=float(np.mean(pvals < 0.01)),
                 dq_rejection_rate_05=float(np.mean(pvals < 0.05)),
@@ -293,6 +295,20 @@ def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
             )
         )
     return summaries
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median's value, bit for bit, without the numpy.ma import of its NaN check.
+
+    The middle sorted value, or the mean of the two middle ones. Like np.mean,
+    the sum starts from +0.0, so a zero median is +0.0 whatever the signs of
+    the zeros that np.sort puts in the middle.
+    """
+    s = np.sort(values)
+    half = len(s) // 2
+    if len(s) % 2:
+        return 0.0 + float(s[half])
+    return (0.0 + float(s[half - 1]) + float(s[half])) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +320,11 @@ def _run_asset(path: Path, cfg: ExperimentConfig):
     """One pool task: load an asset's price file and run every single-asset
     method on it at every level of cfg.thetas through _fit_and_score.
 
-    Returns (None, the load skip) when the file cannot be read or its
-    training segment is too short to window; otherwise the series and its
-    outcome table, keyed (asset, method, theta).
+    Returns the asset id, its outcome table keyed (asset, method, theta), and
+    its series only when cfg.methods holds joint_qcnn, the one reader of a
+    series after the task (else None). A file that cannot be read, or whose
+    training segment is too short to window, gives (asset id, None, its load
+    skip).
     """
     try:
         series = log_returns(load_prices(path))
@@ -315,13 +333,13 @@ def _run_asset(path: Path, cfg: ExperimentConfig):
                 f"training segment has {series.split_index} returns, need >= {cfg.window + 1}"
             )
     except QvarError as exc:
-        return None, _skip(path.stem, "load", exc)
+        return path.stem, None, _skip(path.stem, "load", exc)
     outcomes: dict = {}
     for method in cfg.methods:
         if method != METHOD_JOINT_QCNN:
             scored = _fit_and_score(series, method, cfg.thetas, cfg)
             _record(outcomes, series.asset_id, method, scored, cfg)
-    return series, outcomes
+    return series.asset_id, outcomes, series if METHOD_JOINT_QCNN in cfg.methods else None
 
 
 def _theta_tag(theta: float) -> str:
@@ -398,8 +416,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     A pool task is one asset: it loads the price file and sends each
     single-asset method through _fit_and_score, which fits the level-free
     state once (GARCH parameters, a QCNN's scaler and windows) and each
-    level's own model after it. Tasks run on a process pool when workers
-    allow; per-task seeds come from the (asset, method, level) identity. The
+    level's own model after it. It returns the asset id and its outcome
+    table, plus its ReturnSeries only when joint_qcnn is among the methods.
+    Tasks run on a process pool, imported only then, when workers allow;
+    per-task seeds come from the (asset, method, level) identity. The
     joint model's pooled windows are built once and it trains once per theta
     in the main process; each pooled asset then goes through the same body.
     _record puts every outcome into one table, a BacktestResult (writing its
@@ -439,6 +459,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     workers = min(workers, max(1, len(tasks)))
     if workers > 1:
+        # imported here, so a one-worker run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # forked workers inherit the parent's modules, so importing what the
         # tasks use once here spares every worker an import of its own
         for method in single_methods:
@@ -449,15 +472,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     else:
         done = [_run_asset(path, cfg) for path in tasks]
 
+    assets: list[str] = []
     series_list: list[ReturnSeries] = []
     outcomes: dict[tuple[str, str, float], BacktestResult | dict] = {}
-    for series, loaded in done:
-        if series is None:
-            load_skips.append(loaded)
-        else:
-            series_list.append(series)
-            outcomes.update(loaded)
-    if not series_list:
+    for asset_id, table, kept in done:
+        if table is None:
+            load_skips.append(kept)
+            continue
+        assets.append(asset_id)
+        outcomes.update(table)
+        if kept is not None:
+            series_list.append(kept)
+    if not assets:
         # the manifest still records why each asset was left out
         write_run_manifest(cfg, [], load_skips)
         raise InsufficientDataError(f"no usable assets in manifest {cfg.manifest}")
@@ -483,7 +509,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     for theta in cfg.thetas:
         per_method: dict[str, list[BacktestResult]] = {}
         for method in cfg.methods:
-            rows = [(s.asset_id, outcomes.get((s.asset_id, method, theta))) for s in series_list]
+            rows = [(asset_id, outcomes.get((asset_id, method, theta))) for asset_id in assets]
             rows = [(asset_id, r) for asset_id, r in rows if isinstance(r, BacktestResult)]
             per_method[method] = [r for _, r in rows]
             write_results_csv(results_csv_path(output_dir, method, theta), rows)
@@ -492,5 +518,5 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         summaries_by_theta[theta] = summaries
 
     skips = [o for o in outcomes.values() if not isinstance(o, BacktestResult)]
-    write_run_manifest(cfg, [s.asset_id for s in series_list], load_skips + skips)
+    write_run_manifest(cfg, assets, load_skips + skips)
     return summaries_by_theta

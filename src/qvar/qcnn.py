@@ -223,13 +223,13 @@ class _Buffers:
     out[i] is its whole current tap and stays contiguous: numpy's elementwise
     loops run about three times slower on a column slice of a wider buffer.
     The first lag*m columns of a lagged tap are zeroed by lay and never written.
+    Backward passes write input gradients into the workspace's shared dx pair.
     """
 
     def __init__(self, model: QcnnModel, size: list[int]):
         self.shape = None
         taps = [l.kernel_size * l.in_channels for l in model.layers]
         self.flat = [np.empty((kc + 1) * c) for kc, c in zip(taps, size)]
-        self.dx = [np.empty(kc * c) for kc, c in zip(taps, size)]
         self.q = np.empty(size[-1])
 
     def lay(self, model: QcnnModel, m: int, widths: tuple[int, ...]) -> None:
@@ -267,7 +267,11 @@ class _Workspace:
     The prefix runs in groups of at most prefix_group windows, which compute
     no more layer-columns than a sub-batch. shared[i] collects the prefix's
     gradient on the series pass's input to layer i, laid out like that
-    input's (cin, cols) rows.
+    input's (cin, cols) rows. dx is the pair of input-gradient buffers that
+    main and prefix share: layer i's backward writes its taps' gradient into
+    dx[i % 2] while its incoming gradient, from layer i+1, lies in the
+    other, and a prefix's backward ends before main's begins. Each holds the
+    largest k*cin*columns of its layers in either pass.
     """
 
     def __init__(self, model: QcnnModel, cols: int):
@@ -288,6 +292,9 @@ class _Workspace:
         self.shared = [np.empty(l.in_channels * cols) for l in layers]
         self.main = _Buffers(model, [cols] * len(layers))
         self.prefix = _Buffers(model, [n * self.prefix_group for n in self.reach])
+        sizes = [max(cols, n * self.prefix_group) for n in self.reach]
+        need = [l.kernel_size * l.in_channels * c for l, c in zip(layers, sizes)]
+        self.dx = [np.empty(max(need[parity::2])) for parity in (0, 1)]
 
     def pack(self, model: QcnnModel) -> None:
         """Copy the model's current parameters into wfull."""
@@ -371,7 +378,7 @@ def _backward(model, ws, buf, m, widths, dact, at=None, shared=False) -> None:
         if i == 0:
             break
         # one flat row per tap, so that the fold below adds contiguous runs
-        dx = buf.dx[i][: k * cin * cols].reshape(k, cin * cols)
+        dx = ws.dx[i % 2][: k * cin * cols].reshape(k, cin * cols)
         np.matmul(ws.wfull[i][:, :-1].T, dact, out=dx.reshape(k * cin, cols))
         # fold the lagged taps back onto the previous layer's activations: zero
         # each tap's gradient at its padded columns, then a single shifted add

@@ -445,6 +445,25 @@ class TestReport:
         assert main(["report", "--results-dir", str(out_dir)]) == 0
         assert (out_dir / "summary_theta0.05.csv").read_bytes() == original
 
+    def test_summary_bytes_pinned(self, tmp_path, capsys):
+        # an even count whose median is a rounded mean of two rates, and an
+        # odd count with tied zeros in the middle
+        header = "asset_id,exceedance_rate,dq_stat,p_value,mean_var\n"
+        (tmp_path / "results_constant_theta0.05.csv").write_text(
+            header + "a,0.1,3.5,0.2,0.021\nb,0.2,9.25,0.004,0.03\n"
+            "c,0.05,1.0,0.5,0.019\nd,0.9,40.0,0.0,0.05\n"
+        )
+        (tmp_path / "results_garch_theta0.05.csv").write_text(
+            header + "a,0.0,0.0,0.0,0.5\nb,0.0,2.0,0.7,0.25\nc,0.03,4.0,0.03,0.125\n"
+        )
+        assert main(["report", "--results-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "summary_theta0.05.csv").read_text() == (
+            "method,exceedance_mean,exceedance_median,exceedance_sd,"
+            "dq_rejection_rate_0.01,dq_rejection_rate_0.05,mean_var\n"
+            "constant,0.3125,0.15000000000000002,0.34346579160085217,0.5,0.5,0.030000000000000002\n"
+            "garch,0.01,0.0,0.014142135623730949,0.3333333333333333,0.6666666666666666,0.2916666666666667\n"
+        )
+
     @pytest.mark.parametrize(
         "content",
         [

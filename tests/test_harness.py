@@ -67,6 +67,20 @@ class TestDeriveSeed:
         assert a != derive_seed(7, "qcnn", "asset2", 0.05)
         assert a != derive_seed(8, "qcnn", "asset1", 0.05)
 
+    def test_pinned_values(self):
+        # every training seed and the asset sample come from these bits
+        assert derive_seed(7, "qcnn", "asset1", 0.05) == 5723495183349189021
+        assert derive_seed(7, "asset-sample") == 7762726767179919648
+        assert derive_seed(0, "joint_qcnn", 0.01) == 4017297282033168797
+        assert derive_seed(2**64 - 1, "qcnn", "a", 0.001) == 11707483692989439664
+
+    def test_hash_is_hashlibs_blake2b(self):
+        import _blake2
+        import hashlib
+
+        assert hashlib.blake2b is _blake2.blake2b
+        assert qvar.harness.blake2b is _blake2.blake2b
+
     def test_seed_range_is_the_key_range(self, tmp_path):
         for seed in (0, 2**64 - 1):
             derive_seed(fast_cfg(tmp_path, seed=seed).seed, "asset-sample")
@@ -341,6 +355,31 @@ class TestRunExperiment:
                     ("short", "load"),
                 ]
             assert a == b, name
+
+    @pytest.mark.parametrize(
+        "methods", [("constant", "garch"), ("constant", "joint_qcnn")], ids=["no-joint", "joint"]
+    )
+    def test_task_returns_series_only_for_the_joint_model(self, tmp_path, monkeypatch, methods):
+        manifest = write_panel(tmp_path)
+        manifest.write_text("asset0.csv\nmissing.csv\nasset1.csv\n")
+        task, returned = qvar.harness._run_asset, []
+
+        def recording(*args):
+            returned.append(task(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(qvar.harness, "_run_asset", recording)
+        cfg = fast_cfg(
+            tmp_path, manifest=manifest, methods=methods, train=TrainConfig(epochs=1, batch_size=64)
+        )
+        run_experiment(cfg)
+        assert [asset for asset, _, _ in returned] == ["asset0", "missing", "asset1"]
+        loaded = [kept for _, table, kept in returned if table is not None]
+        if "joint_qcnn" in methods:
+            assert [s.asset_id for s in loaded] == ["asset0", "asset1"]
+        else:
+            assert loaded == [None, None]
+        assert returned[1][1] is None and returned[1][2]["stage"] == "load"
 
     def test_each_price_file_read_once_in_workers(self, tmp_path, monkeypatch):
         manifest = write_panel(tmp_path)

@@ -130,17 +130,19 @@ def test_constant_and_qcnn_run_loads_no_solver(tmp_path, workers):
 def modules_at_fork(tmp_path, methods):
     """The watched modules the parent holds before a 2-worker run of the
     methods starts, and when it constructs its pool."""
+    # run_experiment imports the pool class when it starts one, so the
+    # recording subclass is put where that import finds it
     setup = f"""
+        import concurrent.futures
         import qvar.harness
-        from concurrent.futures import ProcessPoolExecutor
         seen = [[m for m in {WATCHED!r} if m in sys.modules]]
 
-        class Recording(ProcessPoolExecutor):
+        class Recording(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 seen.append([m for m in {WATCHED!r} if m in sys.modules])
                 super().__init__(*args, **kwargs)
 
-        qvar.harness.ProcessPoolExecutor = Recording
+        concurrent.futures.ProcessPoolExecutor = Recording
         """
     return run_python(setup, experiment(tmp_path, methods, 2), "print(json.dumps(seen))")
 
@@ -157,6 +159,46 @@ def test_linear_qr_pool_parent_holds_linprog_before_fork(tmp_path):
     before, at_fork = modules_at_fork(tmp_path, ("constant", "linear_qr"))
     assert before == []
     assert "scipy.optimize" in at_fork
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_garch_run_loads_no_openssl_or_masked_arrays(tmp_path, workers):
+    # derive_seed's blake2b comes from _blake2, not hashlib, and aggregate's
+    # median from np.sort, not np.median's NaN check. Each pool task records
+    # what its process (the parent, at one worker) holds as the task ends.
+    watched, held = ("_hashlib", "numpy.ma"), tmp_path / "held.jsonl"
+    parent = run_python(
+        f"""
+        import qvar.harness
+        task = qvar.harness._run_asset
+
+        def recording(*args):
+            out = task(*args)
+            with open({str(held)!r}, "a") as lines:
+                lines.write(json.dumps([m for m in {watched!r} if m in sys.modules]) + "\\n")
+            return out
+
+        qvar.harness._run_asset = recording
+        """,
+        experiment(tmp_path, ("constant", "garch"), workers),
+        f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))",
+    )
+    assert [json.loads(line) for line in held.read_text().splitlines()] == [[], []]
+    assert parent == []
+
+
+def test_one_worker_run_loads_no_pool(tmp_path):
+    manifest, out = write_panel(tmp_path), tmp_path / "out"
+    loaded = run_python(
+        f"""
+        from qvar.cli import main
+        code = main(["run", "--manifest", {str(manifest)!r}, "--output-dir", {str(out)!r},
+                     "--methods", "constant,garch", "--theta", "0.05", "--workers", "1"])
+        assert code == 0
+        """,
+        'print(json.dumps([m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]))',
+    )
+    assert loaded == []
 
 
 def refusing(package: str) -> str:

@@ -3,8 +3,9 @@ truncation, the fitters turn hostile inputs into qvar errors only, GARCH's
 variance recursion and Nelder-Mead loop match scipy's bit for bit, price
 files load back bit-exact in date order, a run survives broken price files
 and gives every (asset, method, level) of a hostile panel one row or one
-skip, a VaR of any finite scale is scored or refused, and broken VaR,
-results and config files end in no traceback."""
+skip, a VaR of any finite scale is scored or refused, broken VaR,
+results and config files end in no traceback, and aggregate's median has
+np.median's bits."""
 
 import datetime as dt
 import json
@@ -31,7 +32,7 @@ from qvar.baselines import (
     garch_variance_path,
     linear_qr_var_path,
 )
-from qvar.backtest import score_forecast
+from qvar.backtest import BacktestResult, score_forecast
 from qvar.cli import main
 from qvar.data import (
     ReturnSeries,
@@ -42,7 +43,7 @@ from qvar.data import (
     prices_from_returns,
 )
 from qvar.errors import DomainError, QvarError
-from qvar.harness import ALL_METHODS
+from qvar.harness import ALL_METHODS, aggregate
 from qvar.qcnn import build_model, predict_var_series
 from qvar.synthlab import IID_NORMAL, SimSpec, simulate, write_price_csv
 
@@ -612,3 +613,38 @@ def test_broken_cli_files_exit_cleanly(tmp_path_factory, capfd, monkeypatch, cas
     monkeypatch.chdir(directory)
     assert main(argv) in exits
     assert "Traceback" not in capfd.readouterr().err
+
+
+@st.composite
+def rate_lists(draw):
+    """1-60 values drawn from a pool of at most six, so ties are common: signed
+    zeros and the smallest subnormals beside any finite value up to 1e308 in
+    magnitude, where the sum of the two middle values overflows."""
+    value = st.one_of(
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)),
+        st.floats(-1e308, 1e308, allow_nan=False),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rates=rate_lists())
+# np.sort puts -0.0 in the middle; np.median's mean adds it to +0.0
+@example(rates=[0.0, 1.0, -0.0])
+# the middle pair halves to -0.0
+@example(rates=[-5e-324, 0.0])
+@example(rates=[1e308, 1e308])
+def test_aggregate_median_is_numpys(rates):
+    rows = [
+        BacktestResult(
+            exceedance_rate=rate, mean_var=1.0, dq_statistic=1.0, dof=4, p_value=0.5,
+            n_days=100, n_exceedances=5,
+        )
+        for rate in rates
+    ]
+    # the mean and SD beside the median overflow at 1e308
+    with np.errstate(all="ignore"):
+        median = aggregate({"m": rows})[0].exceedance_median
+        expected = np.median(np.array(rates))
+    assert np.float64(median).tobytes() == np.float64(expected).tobytes()

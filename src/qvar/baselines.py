@@ -31,6 +31,8 @@ from .errors import DomainError, FitError, InsufficientDataError
 
 # Rational approximations from Wichura's PPND16 algorithm (AS 241); absolute
 # error is below 1e-15 over (0, 1), comfortably inside the 1e-9 contract.
+# Each tuple lists AS 241's coefficients lowest power first; np.polyval takes
+# them reversed and runs the same Horner steps, so the bits are AS 241's.
 _PPND_A = (
     3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
@@ -63,13 +65,6 @@ _PPND_F = (
 )
 
 
-def _poly(coeffs, x):
-    acc = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * x + c
-    return acc
-
-
 def gaussian_quantile(theta):
     """Standard normal quantile: the z with Phi(z) = theta.
 
@@ -83,7 +78,7 @@ def gaussian_quantile(theta):
     r_central = 0.180625 - q * q
     z = np.where(
         central,
-        q * _poly(_PPND_A, r_central) / _poly(_PPND_B, r_central),
+        q * np.polyval(_PPND_A[::-1], r_central) / np.polyval(_PPND_B[::-1], r_central),
         0.0,
     )
     if not np.all(central):
@@ -94,8 +89,8 @@ def gaussian_quantile(theta):
         rn = np.where(near, r - 1.6, r - 5.0)
         tail = np.where(
             near,
-            _poly(_PPND_C, rn) / _poly(_PPND_D, rn),
-            _poly(_PPND_E, rn) / _poly(_PPND_F, rn),
+            np.polyval(_PPND_C[::-1], rn) / np.polyval(_PPND_D[::-1], rn),
+            np.polyval(_PPND_E[::-1], rn) / np.polyval(_PPND_F[::-1], rn),
         )
         z = np.where(central, z, np.where(q < 0, -tail, tail))
     if np.isscalar(theta) or arr.ndim == 0:
@@ -448,11 +443,9 @@ class QrCoefficients:
         check_quantile_level(self.theta)
 
 
-def _lag_matrix(returns: np.ndarray, lags: int):
-    # row t: [r[t-1], r[t-2], ..., r[t-lags]] for t = lags .. len-1
-    n = returns.size - lags
-    cols = [returns[lags - 1 - j : lags - 1 - j + n] for j in range(lags)]
-    return np.column_stack(cols), returns[lags:]
+def _lag_matrix(x: np.ndarray, rows: np.ndarray, lags: int) -> np.ndarray:
+    # row i: [x[rows[i]-1], x[rows[i]-2], ..., x[rows[i]-lags]]
+    return np.column_stack([x[rows - 1 - j] for j in range(lags)])
 
 
 def fit_linear_qr(train_returns, theta: float, lags: int = QR_LAGS) -> QrCoefficients:
@@ -471,10 +464,11 @@ def fit_linear_qr(train_returns, theta: float, lags: int = QR_LAGS) -> QrCoeffic
         raise InsufficientDataError(
             f"linear quantile regression needs >= {MIN_QR_OBS} observations, got {returns.size}"
         )
-    lag_cols, y = _lag_matrix(returns, lags)
-    X = np.column_stack([np.ones(y.size), lag_cols])
+    rows = np.arange(lags, returns.size)
+    X = np.column_stack([np.ones(rows.size), _lag_matrix(returns, rows, lags)])
     result = linprog(
-        -y, A_eq=X.T, b_eq=np.zeros(lags + 1), bounds=(theta - 1.0, theta), method="highs"
+        -returns[rows], A_eq=X.T, b_eq=np.zeros(lags + 1), bounds=(theta - 1.0, theta),
+        method="highs",
     )
     if result.status != 0:
         raise FitError(f"quantile regression LP failed: {result.message}")
@@ -492,8 +486,7 @@ def linear_qr_var_path(coeffs: QrCoefficients, history, start: int):
     lags = coeffs.lag_weights.size
     if not lags <= start <= history.size:
         raise DomainError(f"start index {start} outside [{lags}, {history.size}]")
-    rows = np.arange(start, history.size + 1)
-    lag_block = np.column_stack([history[rows - 1 - j] for j in range(lags)])
+    lag_block = _lag_matrix(history, np.arange(start, history.size + 1), lags)
     # einsum sums each row in one order whatever the row count, so truncating
     # the history leaves earlier forecasts unchanged bit for bit; BLAS matmul
     # takes another route for a single row

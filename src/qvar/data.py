@@ -244,8 +244,6 @@ def load_manifest(path: str | Path) -> list[Path]:
 
 def log_returns(prices: PriceSeries) -> ReturnSeries:
     """Daily log returns ln(close[t+1]/close[t]) with the 70/30 split index set."""
-    if len(prices) < 2:
-        raise InsufficientDataError(f"{prices.asset_id}: need at least 2 prices")
     returns = np.diff(np.log(prices.closes))
     split = int(math.floor(TRAIN_FRACTION * len(returns)))
     return ReturnSeries(asset_id=prices.asset_id, returns=returns, split_index=split)

@@ -2,16 +2,16 @@
 ahead through the test segment, backtest, and aggregate across assets.
 
 All fits use the training segment only and forecasts roll through the test
-segment without refitting. run_single, run_joint_qcnn, the pool tasks and
-the joint model of run_experiment share one fit-and-score body. The joint
-QCNN trains once per quantile level on the pooled windows of every asset
-and predicts each asset with that asset's own scaler.
+segment without refitting. run_single, the pool tasks and the joint model
+share one fit-and-score body. The joint QCNN pools every asset's windows
+once (_joint_pool); _joint_level trains it at one quantile level and scores
+each asset with that asset's own scaler. run_joint_qcnn and run_experiment
+both run the joint model through these two.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import json
 import logging
 import os
@@ -62,19 +62,6 @@ logger = logging.getLogger(__name__)
 
 # the asset id of the one skip a joint model that fails as a whole records
 WHOLE_LEVEL = "*"
-
-# the scipy modules a method's tasks import on first use. GARCH's Nelder-Mead
-# loop is qvar's own, and its variance recursion loads scipy's BLAS extension
-# by file (15-25 ms and 3.5 MB, against 0.28-0.33 s and 27 MB for
-# scipy.linalg), so a GARCH run loads no scipy submodule and the parent of its
-# pool imports nothing for it
-_SCIPY_USED_BY = {
-    METHOD_CONSTANT: (),
-    METHOD_GARCH: (),
-    METHOD_LINEAR_QR: ("scipy.optimize",),
-    METHOD_QCNN: (),
-}
-
 
 @dataclass(frozen=True)
 class VarForecast:
@@ -232,42 +219,47 @@ def run_joint_qcnn(
     asset whose scaling, windowing or forecast fails is absent from the
     result; the model trains when at least two assets remain. With fewer, it
     raises InsufficientDataError naming every left-out asset and its error.
+    It is one _joint_level of run_experiment's joint model, bit for bit.
     """
-    members, pooled, left_out = _joint_pool(series_list, cfg)
-    model = _train_joint(pooled, left_out, theta, cfg)
-    models = {theta: model}
-    scored = [_fit_and_score(s, METHOD_JOINT_QCNN, (theta,), cfg, models)[theta] for s in members]
-    return {s.asset_id: o for s, o in zip(members, scored) if not isinstance(o, QvarError)}, model
+    model, scored = _joint_level(_joint_pool(series_list, cfg), theta, cfg)
+    return {a: o for a, o in scored.items() if not isinstance(o, QvarError)}, model
 
 
 def _joint_pool(series_list: list[ReturnSeries], cfg: ExperimentConfig):
     """The joint model's training windows, built once for every level.
 
-    Returns each usable asset, their pooled windows (None when fewer than
-    two remain), and each left-out asset with its error.
+    Returns the windows pooled over the usable assets (None when fewer than
+    two remain) and each asset with its own windows or the QvarError that
+    left it out.
     """
-    members, window_sets, left_out = [], [], []
+    assets = []
     for series in series_list:
         try:
             windows = make_windows(series, fit_scaler(series), window=cfg.window, stride=cfg.stride)
         except QvarError as exc:
-            left_out.append((series, exc))
-            continue
-        members.append(series)
-        window_sets.append(windows)
-    pooled = pool_windows(window_sets) if len(members) >= 2 else None
-    return members, pooled, left_out
+            windows = exc
+        assets.append((series, windows))
+    window_sets = [w for _, w in assets if not isinstance(w, QvarError)]
+    return (pool_windows(window_sets) if len(window_sets) >= 2 else None), assets
 
 
-def _train_joint(pooled, left_out, theta: float, cfg: ExperimentConfig) -> QcnnModel:
-    """The joint model at one level; with no pooled windows, the level's one
-    failure, which names every left-out asset."""
+def _joint_level(pool, theta: float, cfg: ExperimentConfig):
+    """Train the joint model at one level on _joint_pool's windows and score
+    every asset through _fit_and_score.
+
+    Returns the model and, per asset id, the (VarForecast, BacktestResult)
+    or the QvarError that left the asset out or stopped its forecast. With
+    no pooled windows the level fails as a whole: InsufficientDataError
+    names every left-out asset and its error.
+    """
+    pooled, assets = pool
     if pooled is None:
-        reasons = "".join(
-            f"; left out {s.asset_id} ({type(exc).__name__}: {exc})" for s, exc in left_out
-        )
+        left_out = [(s, w) for s, w in assets if isinstance(w, QvarError)]
+        reasons = "".join(f"; left out {s.asset_id} ({type(e).__name__}: {e})" for s, e in left_out)
         raise InsufficientDataError(f"joint training needs at least 2 assets{reasons}")
-    return train(pooled, theta, _train_config_for(cfg, "joint_qcnn", theta))
+    model = train(pooled, theta, _train_config_for(cfg, "joint_qcnn", theta))
+    score = lambda s: _fit_and_score(s, METHOD_JOINT_QCNN, (theta,), cfg, {theta: model})[theta]
+    return model, {s.asset_id: w if isinstance(w, QvarError) else score(s) for s, w in assets}
 
 
 def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
@@ -419,14 +411,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     level's own model after it. It returns the asset id and its outcome
     table, plus its ReturnSeries only when joint_qcnn is among the methods.
     Tasks run on a process pool, imported only then, when workers allow;
-    per-task seeds come from the (asset, method, level) identity. The
-    joint model's pooled windows are built once and it trains once per theta
-    in the main process; each pooled asset then goes through the same body.
-    _record puts every outcome into one table, a BacktestResult (writing its
-    series file under write_series) or a skip. A manifest line that does not
-    load gets one load skip, and run_manifest.json lists every skip sorted
-    by (asset, stage, reason). Output is deterministic for a fixed config
-    and seed regardless of worker count.
+    per-task seeds come from the (asset, method, level) identity. The joint
+    model's windows are pooled once, and each level is one _joint_level call
+    in the main process, as in run_joint_qcnn: a level that fails as a whole
+    gets one "*" skip, any other saves its checkpoint and each asset's
+    outcome. _record puts every outcome into one table, a BacktestResult
+    (writing its series file under write_series) or a skip. A manifest line
+    that does not load gets one load skip, and run_manifest.json lists every
+    skip sorted by (asset, stage, reason). Output is deterministic for a
+    fixed config and seed regardless of worker count.
     """
     output_dir = Path(cfg.output_dir)
     try:
@@ -455,18 +448,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
             first[path.stem] = path
     tasks = list(first.values())
 
-    single_methods = [m for m in cfg.methods if m != METHOD_JOINT_QCNN]
     workers = cfg.workers if cfg.workers is not None else (os.cpu_count() or 1)
     workers = min(workers, max(1, len(tasks)))
     if workers > 1:
         # imported here, so a one-worker run loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # forked workers inherit the parent's modules, so importing what the
-        # tasks use once here spares every worker an import of its own
-        for method in single_methods:
-            for module in _SCIPY_USED_BY[method]:
-                importlib.import_module(module)
+        # forked workers inherit the parent's modules, so linear_qr's linprog,
+        # the one scipy submodule a task imports (GARCH loads only scipy's
+        # BLAS extension, by file), is imported once here, not per worker
+        if METHOD_LINEAR_QR in cfg.methods:
+            import scipy.optimize  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_asset, tasks, [cfg] * len(tasks), chunksize=1))
     else:
@@ -489,21 +481,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         raise InsufficientDataError(f"no usable assets in manifest {cfg.manifest}")
 
     if METHOD_JOINT_QCNN in cfg.methods:
-        members, pooled, left_out = _joint_pool(series_list, cfg)
-        models = {}
+        pool = _joint_pool(series_list, cfg)
         for theta in cfg.thetas:
             try:
-                models[theta] = _train_joint(pooled, left_out, theta, cfg)
-                save_model(models[theta], output_dir / f"joint_qcnn_theta{_theta_tag(theta)}.json")
+                model, scored = _joint_level(pool, theta, cfg)
             except QvarError as exc:
                 # the model failed as a whole: one skip stands for every asset
                 skip = _skip(WHOLE_LEVEL, _stage(METHOD_JOINT_QCNN, theta), exc)
                 outcomes[WHOLE_LEVEL, METHOD_JOINT_QCNN, theta] = skip
-        for series in members:
-            scored = _fit_and_score(series, METHOD_JOINT_QCNN, tuple(models), cfg, models)
-            _record(outcomes, series.asset_id, METHOD_JOINT_QCNN, scored, cfg)
-        for series, exc in left_out:
-            _record(outcomes, series.asset_id, METHOD_JOINT_QCNN, dict.fromkeys(models, exc), cfg)
+                continue
+            save_model(model, output_dir / f"joint_qcnn_theta{_theta_tag(theta)}.json")
+            for asset_id, outcome in scored.items():
+                _record(outcomes, asset_id, METHOD_JOINT_QCNN, {theta: outcome}, cfg)
 
     summaries_by_theta: dict[float, list[MethodSummary]] = {}
     for theta in cfg.thetas:

@@ -534,14 +534,14 @@ def forward(model: QcnnModel, x):
     """
     X = _as_batch(x)
     T = X.shape[1]
-    # einsum dispatches a different kernel for single-column inputs, so pad
-    # a length-1 sequence with a trailing zero (causally invisible) and slice
-    if T == 1:
-        X = np.concatenate([X, np.zeros((1, 1))], axis=1)
-    ws = _Workspace(model, X.shape[1])
+    # einsum takes another kernel for one column, so every sequence gets a
+    # trailing zero that no earlier output reads; from two columns on, its
+    # per-column summation order does not depend on the length, so the pad
+    # moves no earlier output's bits
+    X = np.concatenate([X, np.zeros((1, 1))], axis=1)
+    ws = _Workspace(model, T + 1)
     ws.pack(model)
-    widths = (X.shape[1],) * len(model.layers)
-    return _forward(model, ws, ws.main, 1, widths, x=X, stable=True)[:, :T]
+    return _forward(model, ws, ws.main, 1, (T + 1,) * len(model.layers), x=X, stable=True)[:, :T]
 
 
 def backward(model: QcnnModel, x, y) -> list[np.ndarray]:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -108,6 +109,26 @@ class TestGaussianQuantile:
             assert gaussian_quantile(float(theta)) == pytest.approx(
                 bisect_normal_quantile(float(theta)), abs=1e-9
             )
+
+    def test_bits_pinned(self):
+        # every SplitMix64 normal stream is built on these bits. The grid is
+        # parsed from decimal text and stepped by ulps, so its own bits are
+        # exact; it crosses |theta - 0.5| = 0.425 and r = 5 (theta = e^-25)
+        lower = [float(f"{m}e-{k}") for k in range(1, 301) for m in (3, 1)]
+        edges = []
+        for edge in (0.075, 0.925, math.exp(-25.0)):
+            below = [edge]
+            for _ in range(3):
+                below.append(float(np.nextafter(below[-1], 0.0)))
+            above = [edge]
+            for _ in range(3):
+                above.append(float(np.nextafter(above[-1], 1.0)))
+            edges += below[:0:-1] + above
+        upper = [1.0 - p for p in lower if 1.0 - p < 1.0]
+        grid = np.array(lower + edges + list(np.linspace(0.01, 0.99, 99)) + upper)
+        assert grid.min() == 1e-300 and grid.max() == 1 - 1e-16
+        digest = hashlib.sha256(gaussian_quantile(grid).tobytes()).hexdigest()
+        assert digest == "d6b49b7210833619a5cfd472e0c13b436b17910d675ebaec0efec32ac29c87d3"
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.1, 1.1):

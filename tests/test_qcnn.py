@@ -136,6 +136,18 @@ class TestForward:
         bumped[100] += 1.0
         assert np.array_equal(forward(model, bumped)[0, :100], base[0, :100])
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_prefix_gives_the_whole_sequences_bits(self, seed):
+        # down to one column, where einsum would take another kernel
+        rng = np.random.default_rng(seed)
+        model = build_model(0.05, seed=seed)
+        for layer in model.layers:
+            layer.biases[:] = rng.uniform(-0.2, 0.2, layer.biases.shape)
+        x = rng.standard_normal(70)
+        whole = forward(model, x)
+        for T in range(1, 71):
+            assert forward(model, x[:T]).tobytes() == whole[:, :T].tobytes(), T
+
     def test_receptive_field_64(self):
         model = build_model(0.05, seed=5)
         assert model.receptive_field == 64

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,17 @@ class TestSplitMix64:
         z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
         assert first == (z ^ (z >> 31))
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (7, "a92706181b20d0404afbe6b4999229d1e08b6159a0759041793e2bf2ec9eb8c3"),
+            (20261020, "b83ae808a78a3d7fa45c66192cfa98f09fdffbf12b3b0eef0ca1c58cdaef277f"),
+        ],
+    )
+    def test_normal_stream_bits_pinned(self, seed, digest):
+        # every seeded synthetic series starts from these bits
+        assert hashlib.sha256(SplitMix64(seed).normals(200_000).tobytes()).hexdigest() == digest
 
     def test_normals_are_inverse_cdf_of_uniforms(self):
         gen = SplitMix64(9)

@@ -220,12 +220,12 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 def _cmd_run(args) -> int:
-    from .harness import summary_csv_path
+    from .harness import _theta_tag, summary_csv_path
 
     cfg = experiment_config_from_args(args)
     summaries = run_experiment(cfg)
     for theta in cfg.thetas:
-        print(f"theta={format(theta, 'g')}  (summary: {summary_csv_path(cfg.output_dir, theta)})")
+        print(f"theta={_theta_tag(theta)}  (summary: {summary_csv_path(cfg.output_dir, theta)})")
         for s in summaries[theta]:
             print(
                 f"  {s.method:<11} exceed mean={s.exceedance_mean:.4f} "
@@ -264,13 +264,6 @@ def _cmd_backtest(args) -> int:
 _ResultRow = namedtuple("_ResultRow", "exceedance_rate p_value mean_var")
 
 
-def _method_order(method: str):
-    # canonical ordering first, anything unknown alphabetically after
-    if method in ALL_METHODS:
-        return (0, ALL_METHODS.index(method))
-    return (1, method)
-
-
 def _cmd_report(args) -> int:
     from .data import parse_finite, read_csv, reading
     from .harness import aggregate, write_summary_csv
@@ -291,8 +284,7 @@ def _cmd_report(args) -> int:
     if not groups:
         raise ParseError(f"no results_*_theta*.csv files in {results_dir}")
     for tag in sorted(groups, key=float):
-        per_method = dict(sorted(groups[tag].items(), key=lambda kv: _method_order(kv[0])))
-        summaries = aggregate(per_method)
+        summaries = aggregate(groups[tag])
         out = results_dir / f"summary_theta{tag}.csv"
         write_summary_csv(out, summaries)
         print(f"theta={tag}: {len(summaries)} methods -> {out}")

@@ -33,7 +33,7 @@ from .baselines import (
     garch_var_path,
     linear_qr_var_path,
 )
-# ALL_METHODS and DEFAULT_THETAS stay importable from qvar.harness
+# DEFAULT_THETAS stays importable from qvar.harness
 from .config import (  # noqa: F401
     ALL_METHODS,
     DEFAULT_THETAS,
@@ -265,11 +265,15 @@ def _joint_level(pool, theta: float, cfg: ExperimentConfig):
 def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
     """Cross-asset summary per method: exceedance stats, DQ rejections, mean VaR.
 
-    The SD is the population formula over assets; rejection at level s counts
-    assets with p_value < s, which includes zero-exceedance assets (p = 0).
+    Methods come in ALL_METHODS order, any other name after them
+    alphabetically. The SD is the population formula over assets; rejection
+    at level s counts assets with p_value < s, which includes
+    zero-exceedance assets (p = 0).
     """
+    rank = {method: i for i, method in enumerate(ALL_METHODS)}
     summaries = []
-    for method, method_results in results.items():
+    for method in sorted(results, key=lambda m: (rank.get(m, len(rank)), m)):
+        method_results = results[method]
         if not method_results:
             continue
         rates = np.array([r.exceedance_rate for r in method_results])
@@ -335,7 +339,8 @@ def _run_asset(path: Path, cfg: ExperimentConfig):
 
 
 def _theta_tag(theta: float) -> str:
-    return format(theta, "g")
+    # the shortest round-trip form, so distinct levels never share a file
+    return repr(float(theta))
 
 
 def results_csv_path(output_dir: Path, method: str, theta: float) -> Path:

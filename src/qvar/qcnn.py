@@ -146,25 +146,6 @@ def model_parameters(model: QcnnModel) -> list[np.ndarray]:
     return params
 
 
-def _parameter_views(model: QcnnModel, flat: np.ndarray) -> list[np.ndarray]:
-    """Contiguous views of flat shaped like model_parameters(model), laid end to end in its order."""
-    views = []
-    for p in model_parameters(model):
-        views.append(flat[: p.size].reshape(p.shape))
-        flat = flat[p.size :]
-    return views
-
-
-def _flatten_parameters(model: QcnnModel) -> np.ndarray:
-    """Move the model's parameters into one flat vector, in model_parameters
-    order, and make every layer's weights and biases views of it."""
-    flat = np.concatenate([p.ravel() for p in model_parameters(model)])
-    views = _parameter_views(model, flat)
-    for layer, weights, biases in zip(model.layers, views[::2], views[1::2]):
-        layer.weights, layer.biases = weights, biases
-    return flat
-
-
 # ---------------------------------------------------------------------------
 # forward / loss / backward
 # ---------------------------------------------------------------------------
@@ -255,9 +236,10 @@ class _Workspace:
     """Preallocated buffers for sub-batches of up to `cols` sequence positions,
     reused across training steps and sequence lengths.
 
-    wfull[i] holds layer i's packed parameters [weights by tap | biases] and
-    grad[i] their gradient. The grad[i] lie end to end in packed_grad, and
-    packed_grad taken at `order` is the gradient in model_parameters order.
+    wfull[i] holds layer i's parameters packed as [weights by tap | biases],
+    copied from the model once, here, and grad[i] their gradient. The wfull[i]
+    lie end to end in packed and the grad[i] in packed_grad, so training
+    updates packed in place and the model's arrays go untouched.
     `main` runs whole windows and series passes: a sub-batch of sequences of
     length T <= cols holds cols // T of them, and every layer computes all T
     positions. `prefix` runs the prefix of a two-pass step (see _step_blocks)
@@ -277,16 +259,17 @@ class _Workspace:
     def __init__(self, model: QcnnModel, cols: int):
         layers = model.layers
         self.cols = cols
-        self.wfull = [np.empty((l.out_channels, l.kernel_size * l.in_channels + 1)) for l in layers]
-        self.packed_grad = np.empty(sum(w.size for w in self.wfull))
-        self.grad, self.order, at = [], [], 0
-        for layer, w in zip(layers, self.wfull):
-            cout, cin, k = layer.weights.shape
-            self.grad.append(self.packed_grad[at : at + w.size].reshape(w.shape))
-            spot = at + np.arange(w.size).reshape(w.shape)
-            self.order += [spot[:, :-1].reshape(cout, k, cin).transpose(0, 2, 1).ravel(), spot[:, -1]]
+        shapes = [(l.out_channels, l.kernel_size * l.in_channels + 1) for l in layers]
+        self.packed = np.empty(sum(a * b for a, b in shapes))
+        self.packed_grad = np.empty_like(self.packed)
+        self.wfull, self.grad, at = [], [], 0
+        for layer, shape in zip(layers, shapes):
+            w = self.packed[at : at + shape[0] * shape[1]].reshape(shape)
+            w[:, :-1] = layer.weights.transpose(0, 2, 1).reshape(shape[0], -1)
+            w[:, -1] = layer.biases
+            self.wfull.append(w)
+            self.grad.append(self.packed_grad[at : at + w.size].reshape(shape))
             at += w.size
-        self.order = np.concatenate(self.order)
         self.reach = tuple(np.cumsum([l.dilation * (l.kernel_size - 1) for l in layers]).tolist())
         self.prefix_group = max(len(layers) * cols // max(sum(self.reach), 1), 1)
         self.shared = [np.empty(l.in_channels * cols) for l in layers]
@@ -296,12 +279,16 @@ class _Workspace:
         need = [l.kernel_size * l.in_channels * c for l, c in zip(layers, sizes)]
         self.dx = [np.empty(max(need[parity::2])) for parity in (0, 1)]
 
-    def pack(self, model: QcnnModel) -> None:
-        """Copy the model's current parameters into wfull."""
-        for layer, w in zip(model.layers, self.wfull):
-            cout, cin, k = layer.weights.shape
-            w[:, :-1] = layer.weights.transpose(0, 2, 1).reshape(cout, k * cin)
-            w[:, -1] = layer.biases
+
+def _unpacked(model: QcnnModel, per_layer_packed) -> list[np.ndarray]:
+    """New C-contiguous arrays shaped like model_parameters(model), in its
+    order, from per-layer packed rows [weights by tap | biases]."""
+    params = []
+    for layer, w in zip(model.layers, per_layer_packed):
+        cout, cin, k = layer.weights.shape
+        params.append(w[:, :-1].reshape(cout, k, cin).transpose(0, 2, 1).copy())
+        params.append(w[:, -1].copy())
+    return params
 
 
 def _forward(model, ws, buf, m, widths, x=None, stable=False, at=None) -> np.ndarray:
@@ -310,7 +297,7 @@ def _forward(model, ws, buf, m, widths, x=None, stable=False, at=None) -> np.nda
     The input is x, shape (m, widths[0]), or with `at`, gathered from
     ws.main: from position widths[i-1] on (every position for layer 0),
     column c of layer i's input is column at[c] of the main pass's input to
-    layer i. Reads the parameters packed by ws.pack. With stable=True the
+    layer i. Reads the parameters from ws.wfull. With stable=True the
     channel reduction runs through einsum, whose per-column summation order
     does not depend on the sequence length, so outputs at a given position
     are bitwise identical no matter how much future input follows;
@@ -402,9 +389,9 @@ def _backward(model, ws, buf, m, widths, dact, at=None, shared=False) -> None:
             dact = dact[:, :n0]
 
 
-def _loss_and_grads(model, blocks, n, ws, grad) -> float:
-    """Weighted pinball loss over blocks of sequences, divided by n; its exact
-    gradient goes into grad, one flat vector in model_parameters order.
+def _loss_and_grads(model, blocks, n, ws) -> float:
+    """Weighted pinball loss over blocks of sequences, divided by n, at the
+    parameters in ws.packed; its exact gradient is left in ws.packed_grad.
 
     Each block is (X, Y, W, heads): inputs and targets of shape (m, T),
     per-position weights broadcastable to them, and heads, None or the
@@ -423,7 +410,6 @@ def _loss_and_grads(model, blocks, n, ws, grad) -> float:
     """
     theta = model.theta
     layers = model.layers
-    ws.pack(model)
     ws.packed_grad[:] = 0.0
     loss = 0.0
     for X, Y, W, heads in blocks:
@@ -450,7 +436,6 @@ def _loss_and_grads(model, blocks, n, ws, grad) -> float:
                     _backward(model, ws, ws.prefix, few.size, ws.reach, pdact, at=at)
             dact = dact.reshape(1, -1)
             _backward(model, ws, ws.main, m, widths, dact, shared=heads is not None)
-    np.take(ws.packed_grad, ws.order, out=grad)
     return loss / n
 
 
@@ -540,7 +525,6 @@ def forward(model: QcnnModel, x):
     # moves no earlier output's bits
     X = np.concatenate([X, np.zeros((1, 1))], axis=1)
     ws = _Workspace(model, T + 1)
-    ws.pack(model)
     return _forward(model, ws, ws.main, 1, (T + 1,) * len(model.layers), x=X, stable=True)[:, :T]
 
 
@@ -550,9 +534,9 @@ def backward(model: QcnnModel, x, y) -> list[np.ndarray]:
     Y = _as_batch(y)
     if X.shape != Y.shape:
         raise ShapeError(f"input {X.shape} and target {Y.shape} lengths differ")
-    grad = np.empty(sum(p.size for p in model_parameters(model)))
-    _loss_and_grads(model, [(X, Y, 1.0, None)], X.size, _Workspace(model, X.shape[1]), grad)
-    return _parameter_views(model, grad)
+    ws = _Workspace(model, X.shape[1])
+    _loss_and_grads(model, [(X, Y, 1.0, None)], X.size, ws)
+    return _unpacked(model, ws.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +597,9 @@ def train(
     positions of each layer that its zero padding reaches (see _step_blocks
     and _loss_and_grads). Every pass, whole windows included, runs through
     the same forward and backward layer loop in one position-major layout.
+    Adadelta updates the workspace's packed parameter vector in place; the
+    model's layers get new weights and biases arrays from it once, at the
+    end, and the arrays they held before are left as they were.
     """
     n, T = len(windows), windows.window
     if n == 0:
@@ -622,20 +609,19 @@ def train(
         model = build_model(theta, rng=rng)
     elif model.theta != theta:
         raise DomainError(f"model targets theta={model.theta}, asked to train at {theta}")
-    # one flat vector each for the parameters, their gradient and both
-    # accumulators, so a step's update is one elementwise pass
-    params = _flatten_parameters(model)
-    grad = np.empty_like(params)
-    state = AdadeltaState.for_params(params, cfg.rho, cfg.epsilon)
     ws = _Workspace(model, max(T, SUB_BATCH_COLUMNS))
+    state = AdadeltaState.for_params(ws.packed, cfg.rho, cfg.epsilon)
     days, group, start = _concat_series(windows)
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = perm[lo : lo + cfg.batch_size]
             blocks = _step_blocks(idx, days, group, start, T, model.receptive_field, ws.cols)
-            _loss_and_grads(model, blocks, idx.size * T, ws, grad)
-            adadelta_step(params, grad, state)
+            _loss_and_grads(model, blocks, idx.size * T, ws)
+            adadelta_step(ws.packed, ws.packed_grad, state)
+    params = _unpacked(model, ws.wfull)
+    for layer, weights, biases in zip(model.layers, params[::2], params[1::2]):
+        layer.weights, layer.biases = weights, biases
     return model
 
 

@@ -155,6 +155,28 @@ class TestRun:
         assert code == 0
         assert (out_dir / "results_constant_theta0.05.csv").exists()
 
+    def test_levels_that_print_alike_write_separate_files(self, tmp_path, capsys):
+        # 0.05000001 and 0.05 agree to the 6 digits of format(theta, "g")
+        manifest = write_panel(tmp_path, n_assets=2)
+        out_dir = tmp_path / "out"
+        code = main(
+            ["run", "--manifest", str(manifest), "--output-dir", str(out_dir),
+             "--theta", "0.05,0.05000001", "--methods", "constant", "--window", "32",
+             "--write-series"]
+        )
+        assert code == 0
+        stdout = capsys.readouterr().out
+        for tag in ("0.05", "0.05000001"):
+            assert f"theta={tag} " in stdout
+            names = [f"results_constant_theta{tag}.csv", f"summary_theta{tag}.csv"]
+            names += [f"series_constant_theta{tag}_asset{i}.csv" for i in range(2)]
+            for name in names:
+                assert (out_dir / name).is_file()
+        assert len(list(out_dir.glob("*.csv"))) == 8
+        assert (out_dir / "summary_theta0.05.csv").read_bytes() != (
+            out_dir / "summary_theta0.05000001.csv"
+        ).read_bytes()
+
     def test_misspelled_boolean_rejected(self, tmp_path, capsys):
         manifest = write_panel(tmp_path, n_assets=1)
         cfg = write_config(tmp_path, manifest, tmp_path / "out")
@@ -436,14 +458,18 @@ class TestBacktest:
 
 class TestReport:
     def test_rebuilds_summaries(self, tmp_path, capsys):
+        # the summary's rows follow one method order, whatever --methods gave
         manifest = write_panel(tmp_path)
-        out_dir = tmp_path / "out"
-        cfg = write_config(tmp_path, manifest, out_dir)
-        main(["run", "--config", str(cfg)])
-        original = (out_dir / "summary_theta0.05.csv").read_bytes()
-        (out_dir / "summary_theta0.05.csv").unlink()
-        assert main(["report", "--results-dir", str(out_dir)]) == 0
-        assert (out_dir / "summary_theta0.05.csv").read_bytes() == original
+        cfg = write_config(tmp_path, manifest, tmp_path / "unused")
+        for methods in ("constant,linear_qr", "garch,constant"):
+            out_dir = tmp_path / methods.replace(",", "_")
+            main(["run", "--config", str(cfg), "--methods", methods, "--output-dir", str(out_dir)])
+            original = (out_dir / "summary_theta0.05.csv").read_bytes()
+            (out_dir / "summary_theta0.05.csv").unlink()
+            assert main(["report", "--results-dir", str(out_dir)]) == 0
+            assert (out_dir / "summary_theta0.05.csv").read_bytes() == original
+        rows = original.decode().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["constant", "garch"]
 
     def test_summary_bytes_pinned(self, tmp_path, capsys):
         # an even count whose median is a rounded mean of two rates, and an

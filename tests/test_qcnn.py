@@ -30,8 +30,8 @@ from qvar.qcnn import (
 from qvar.qcnn import (
     _concat_series,
     _loss_and_grads,
-    _parameter_views,
     _step_blocks,
+    _unpacked,
     _Workspace,
 )
 
@@ -59,11 +59,10 @@ def small_model(rng, theta=0.2, channels=2, depth=2, kernel=2):
 
 
 def kernel(model, blocks, n, ws):
-    """_loss_and_grads into a new gradient vector; the loss and the gradient
-    split like model_parameters."""
-    grad = np.empty(sum(p.size for p in model_parameters(model)))
-    loss = _loss_and_grads(model, blocks, n, ws, grad)
-    return loss, _parameter_views(model, grad)
+    """_loss_and_grads on ws; the loss and new gradient arrays split like
+    model_parameters."""
+    loss = _loss_and_grads(model, blocks, n, ws)
+    return loss, _unpacked(model, ws.grad)
 
 
 def zero_out(model):
@@ -439,9 +438,8 @@ class TestTwoPassStep:
                 idx, *_concat_series(windows), windows.window, model.receptive_field, ws.cols
             )
             assert any(heads is not None for *_, heads in blocks)  # prefix passes run
-            grad = np.empty(sum(p.size for p in model_parameters(model)))
-            loss = _loss_and_grads(model, blocks, n, ws, grad)
-            return loss, grad.tobytes()
+            loss = _loss_and_grads(model, blocks, n, ws)
+            return loss, ws.packed_grad.tobytes()
 
         ws = _Workspace(model, SUB_BATCH_COLUMNS)
         first = gradient(ws)
@@ -503,40 +501,58 @@ def make_window_set(series):
     )
 
 
+def assert_training_replays(windows, batch_size, epochs):
+    """train's parameters equal, bit for bit, a replay of backward and
+    adadelta_step over one vector in model_parameters order."""
+    rng = np.random.default_rng(20)
+    ws = make_window_set(rng.standard_normal((windows, 17)))
+    cfg = TrainConfig(epochs=epochs, batch_size=batch_size, seed=99)
+    trained = train(ws, 0.1, cfg)
+
+    # same generator order: init, then one permutation per epoch
+    rng2 = np.random.default_rng(99)
+    model = build_model(0.1, rng=rng2)
+    params = model_parameters(model)
+    flat = np.concatenate([p.ravel() for p in params])
+    state = AdadeltaState.for_params(flat, cfg.rho, cfg.epsilon)
+    for _ in range(epochs):
+        perm = rng2.permutation(windows)
+        for lo in range(0, windows, batch_size):
+            idx = perm[lo : lo + batch_size]
+            assert idx.size == 1  # backward takes one sequence
+            grads = backward(model, ws.inputs[idx[0]], ws.targets[idx[0]])
+            adadelta_step(flat, np.concatenate([g.ravel() for g in grads]), state)
+            at = 0
+            for p in params:
+                p.ravel()[:] = flat[at : at + p.size]
+                at += p.size
+    got = np.concatenate([p.ravel() for p in model_parameters(trained)])
+    assert np.array_equal(got, flat)
+
+
 class TestTrain:
     def test_single_window_single_epoch_is_one_step(self):
-        rng = np.random.default_rng(20)
-        ws = make_window_set(rng.standard_normal((1, 17)))
-        cfg = TrainConfig(epochs=1, batch_size=128, seed=99)
-        trained = train(ws, 0.1, cfg)
+        assert_training_replays(windows=1, batch_size=128, epochs=1)
 
-        # replay: same generator order gives init, then exactly one update
-        rng2 = np.random.default_rng(99)
-        model = build_model(0.1, rng=rng2)
-        rng2.permutation(1)
-        params = np.concatenate([p.ravel() for p in model_parameters(model)])
-        grad = np.concatenate([g.ravel() for g in backward(model, ws.inputs[0], ws.targets[0])])
-        state = AdadeltaState.for_params(params, cfg.rho, cfg.epsilon)
-        adadelta_step(params, grad, state)
-        got = np.concatenate([p.ravel() for p in model_parameters(trained)])
-        assert np.array_equal(got, params)
+    def test_every_step_is_backward_then_adadelta(self):
+        assert_training_replays(windows=6, batch_size=1, epochs=3)
 
-    def test_parameters_are_contiguous_views_of_one_vector(self):
+    def test_parameters_are_new_contiguous_arrays(self):
         # criterion 1 and TestBackward perturb a parameter through p.ravel(),
-        # which must then be a view of p
+        # which must then be a view of p; the caller's arrays stay as they were
         rng = np.random.default_rng(23)
         windows = make_window_set(rng.standard_normal((6, 40)))
         model = build_model(0.05, seed=4)
+        before = model_parameters(model)
+        kept = [p.copy() for p in before]
         trained = train(windows, 0.05, TrainConfig(epochs=2, batch_size=4, seed=4), model=model)
         assert trained is model
-        params = model_parameters(model)
-        for p in params:
-            assert p.flags.c_contiguous
+        for p in model_parameters(model):
+            assert p.flags.c_contiguous and p.base is None
             assert np.shares_memory(p.ravel(), p)
-        flat = params[0].base
-        assert flat.ndim == 1 and flat.size == sum(p.size for p in params)
-        assert all(p.base is flat for p in params)
-        assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
+        for p, copy in zip(before, kept):
+            assert np.array_equal(p, copy)
+        assert not all(np.array_equal(p, copy) for p, copy in zip(model_parameters(model), kept))
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(21)

@@ -196,13 +196,11 @@ def _variance_recursion(eps2: np.ndarray, omega: float, alpha: float, beta: floa
     return _fblas().dtbsv(1, band, driver, lower=1, diag=1, overwrite_x=1)
 
 
-def _variances_ahead(returns, params: GarchParams, init_var: float | None):
+def _variances_ahead(returns, params: GarchParams, init_var: float):
     # the variance recursion over the returns, run one day past them (n + 1 values)
     returns = np.asarray(returns, dtype=float)
     if returns.size < 1:
         raise InsufficientDataError("need at least one observation for the variance recursion")
-    if init_var is None:
-        init_var = params.unconditional_variance
     if not init_var > 0:
         raise DomainError("initial variance must be positive")
     eps2 = (returns - params.mu) ** 2
@@ -214,16 +212,16 @@ def _negloglik(eps2: np.ndarray, sigma2: np.ndarray) -> float:
     return float(0.5 * np.sum(np.log(2.0 * np.pi) + np.log(sigma2) + eps2 / sigma2))
 
 
-def garch_variance_path(returns, params: GarchParams, init_var: float | None = None):
+def garch_variance_path(returns, params: GarchParams, init_var: float):
     """Conditional variance recursion sigma2[t] = omega + alpha*eps[t-1]^2 + beta*sigma2[t-1].
 
-    eps[t] = r[t] - mu and sigma2[0] = init_var (the unconditional variance
-    when not given). Each sigma2[t] depends only on returns before t.
+    eps[t] = r[t] - mu and sigma2[0] = init_var. Each sigma2[t] depends only
+    on returns before t.
     """
     return _variances_ahead(returns, params, init_var)[:-1]
 
 
-def garch_loglik(returns, params: GarchParams, init_var: float | None = None) -> float:
+def garch_loglik(returns, params: GarchParams, init_var: float) -> float:
     """Gaussian log-likelihood of the returns under the variance recursion."""
     returns = np.asarray(returns, dtype=float)
     sigma2 = garch_variance_path(returns, params, init_var)
@@ -398,19 +396,13 @@ def fit_garch(train_returns) -> GarchParams:
         raise FitError(f"GARCH optimum rounds onto the parameter boundary: {exc}") from exc
 
 
-def garch_var_path(
-    params: GarchParams,
-    history,
-    start: int,
-    theta: float,
-    init_var: float | None = None,
-):
+def garch_var_path(params: GarchParams, history, start: int, theta: float, init_var: float):
     """VaR forecasts -(mu + sigma[t] * z_theta) for days t = start..len(history).
 
-    Element i uses only history[:start + i]; the last element forecasts the
-    day after the history. The variance recursion runs once over the whole
-    history. With the default init_var (the unconditional variance) each
-    forecast depends only on the supplied history.
+    The variance recursion runs once over the whole history from
+    sigma2[0] = init_var, the starting variance the fit used. Element i
+    uses only history[:start + i] and init_var; the last element forecasts
+    the day after the history.
     """
     sigma2 = _variances_ahead(history, params, init_var)
     if not 0 < start < sigma2.size:
@@ -448,8 +440,8 @@ def _lag_matrix(x: np.ndarray, rows: np.ndarray, lags: int) -> np.ndarray:
     return np.column_stack([x[rows - 1 - j] for j in range(lags)])
 
 
-def fit_linear_qr(train_returns, theta: float, lags: int = QR_LAGS) -> QrCoefficients:
-    """Fit r_t ~ [1, r_{t-1..t-lags}] by exact minimization of the pinball loss.
+def fit_linear_qr(train_returns, theta: float) -> QrCoefficients:
+    """Fit r_t ~ [1, r_{t-1..t-4}] by exact minimization of the pinball loss.
 
     Solves the Koenker-Bassett (1978) linear program through its dual,
     max y'd subject to X'd = 0 and theta - 1 <= d <= theta, with scipy's
@@ -464,10 +456,10 @@ def fit_linear_qr(train_returns, theta: float, lags: int = QR_LAGS) -> QrCoeffic
         raise InsufficientDataError(
             f"linear quantile regression needs >= {MIN_QR_OBS} observations, got {returns.size}"
         )
-    rows = np.arange(lags, returns.size)
-    X = np.column_stack([np.ones(rows.size), _lag_matrix(returns, rows, lags)])
+    rows = np.arange(QR_LAGS, returns.size)
+    X = np.column_stack([np.ones(rows.size), _lag_matrix(returns, rows, QR_LAGS)])
     result = linprog(
-        -returns[rows], A_eq=X.T, b_eq=np.zeros(lags + 1), bounds=(theta - 1.0, theta),
+        -returns[rows], A_eq=X.T, b_eq=np.zeros(QR_LAGS + 1), bounds=(theta - 1.0, theta),
         method="highs",
     )
     if result.status != 0:

@@ -220,12 +220,12 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 def _cmd_run(args) -> int:
-    from .harness import _theta_tag, summary_csv_path
+    from .harness import summary_csv_path, theta_tag
 
     cfg = experiment_config_from_args(args)
     summaries = run_experiment(cfg)
     for theta in cfg.thetas:
-        print(f"theta={_theta_tag(theta)}  (summary: {summary_csv_path(cfg.output_dir, theta)})")
+        print(f"theta={theta_tag(theta)}  (summary: {summary_csv_path(cfg.output_dir, theta)})")
         for s in summaries[theta]:
             print(
                 f"  {s.method:<11} exceed mean={s.exceedance_mean:.4f} "

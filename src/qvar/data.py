@@ -1,10 +1,11 @@
-"""Input files, price ingestion, log returns, train/test split, scaling and windowing.
+"""Input and output files, price ingestion, log returns, train/test split,
+scaling and windowing.
 
-Every input file is opened by `open_input` and every CSV read by `read_csv`.
-Price files are one CSV per asset with a header row and `date` (ISO-8601)
-and `close` (decimal) columns. A manifest file lists asset CSV paths, one
-per line. Each series is handled independently; there is no calendar
-alignment across assets.
+Every input file is opened by `open_input`, every CSV read by `read_csv`
+and every output file written by `write_output`. Price files are one CSV
+per asset with a header row and `date` (ISO-8601) and `close` (decimal)
+columns. A manifest file lists asset CSV paths, one per line. Each series
+is handled independently; there is no calendar alignment across assets.
 """
 
 from __future__ import annotations
@@ -54,25 +55,27 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Daily log returns with the index where the test segment begins.
+    """Daily log returns, split into a training and a test segment.
 
-    The split is fixed at split_index = floor(0.7 * len(returns)): indices
-    below it form the training segment, the rest the test segment.
+    The split follows from the length, at split_index =
+    floor(0.7 * len(returns)): indices below it form the training segment,
+    the rest the test segment.
     """
 
     asset_id: str
     returns: np.ndarray
-    split_index: int
 
     def __post_init__(self):
         returns = np.asarray(self.returns, dtype=float)
         object.__setattr__(self, "returns", returns)
-        # split_index 0 (an all-test series) only occurs for a single return;
-        # operations that need a training segment reject it themselves
-        if not 0 <= self.split_index < len(returns):
-            raise DomainError(
-                f"{self.asset_id}: split_index {self.split_index} outside [0, {len(returns)})"
-            )
+        if len(returns) == 0:
+            raise DomainError(f"{self.asset_id}: a return series needs at least one return")
+
+    @property
+    def split_index(self) -> int:
+        # 0 (an all-test series) only occurs for a single return; operations
+        # that need a training segment reject it themselves
+        return math.floor(TRAIN_FRACTION * len(self.returns))
 
     def __len__(self) -> int:
         return len(self.returns)
@@ -164,6 +167,15 @@ def open_input(path: Path, what: str) -> Iterator[TextIO]:
         yield fh
 
 
+def write_output(path: Path, what: str, text: str) -> None:
+    """Write `text` to an output file. Any failure to write it (a directory
+    in the way, a full disk) is a DomainError naming the file."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot write {what}: {exc}") from None
+
+
 def parse_finite(text: str) -> float:
     """The one rule for a numeric input field: a decimal that is finite."""
     value = float(text)
@@ -206,12 +218,12 @@ def read_csv(path: Path, what: str, columns: dict[str, Callable[[str], Any]]) ->
     return [values for _, _, values in fields]
 
 
-def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
+def load_prices(path: str | Path) -> PriceSeries:
     """Read one asset's price CSV and return it sorted by date.
 
-    The header must contain `date` and `close` columns. Malformed rows
-    raise ParseError with the line number; non-positive prices and
-    duplicate dates are rejected.
+    The asset id is the file's stem. The header must contain `date` and
+    `close` columns. Malformed rows raise ParseError with the line number;
+    non-positive prices and duplicate dates are rejected.
     """
     path = Path(path)
     dates, closes = read_csv(path, "price file", {"date": _parse_date, "close": parse_finite})
@@ -221,7 +233,7 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
     if repeated.size:
         raise ParseError(f"{path}: duplicate date {dates[order[repeated[0]]]}")
     return PriceSeries(
-        asset_id=path.stem if asset_id is None else asset_id,
+        asset_id=path.stem,
         dates=tuple(dates[i] for i in order),
         closes=np.array(closes, dtype=float)[order],
     )
@@ -243,19 +255,13 @@ def load_manifest(path: str | Path) -> list[Path]:
 
 
 def log_returns(prices: PriceSeries) -> ReturnSeries:
-    """Daily log returns ln(close[t+1]/close[t]) with the 70/30 split index set."""
-    returns = np.diff(np.log(prices.closes))
-    split = int(math.floor(TRAIN_FRACTION * len(returns)))
-    return ReturnSeries(asset_id=prices.asset_id, returns=returns, split_index=split)
+    """Daily log returns ln(close[t+1]/close[t])."""
+    return ReturnSeries(asset_id=prices.asset_id, returns=np.diff(np.log(prices.closes)))
 
 
-def prices_from_returns(
-    returns: np.ndarray, initial_price: float = 100.0
-) -> np.ndarray:
-    """Cumulative exponentiation: the price path whose log returns are `returns`."""
-    if initial_price <= 0:
-        raise DomainError("initial price must be positive")
-    return initial_price * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
+def prices_from_returns(returns: np.ndarray) -> np.ndarray:
+    """Cumulative exponentiation from 100: the price path whose log returns are `returns`."""
+    return 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
 
 
 def fit_scaler(series: ReturnSeries) -> Scaler:

@@ -33,10 +33,8 @@ from .baselines import (
     garch_var_path,
     linear_qr_var_path,
 )
-# DEFAULT_THETAS stays importable from qvar.harness
-from .config import (  # noqa: F401
+from .config import (
     ALL_METHODS,
-    DEFAULT_THETAS,
     METHOD_CONSTANT,
     METHOD_GARCH,
     METHOD_JOINT_QCNN,
@@ -54,6 +52,7 @@ from .data import (
     log_returns,
     make_windows,
     pool_windows,
+    write_output,
 )
 from .errors import DomainError, InsufficientDataError, QvarError
 from .qcnn import QcnnModel, predict_var_series, save_model, train
@@ -99,7 +98,7 @@ def derive_seed(master: int, *parts) -> int:
 
 
 def _stage(method: str, theta: float) -> str:
-    return f"{method}@{_theta_tag(theta)}"
+    return f"{method}@{theta_tag(theta)}"
 
 
 def _skip(asset: str, stage: str, exc: QvarError) -> dict:
@@ -338,17 +337,18 @@ def _run_asset(path: Path, cfg: ExperimentConfig):
     return series.asset_id, outcomes, series if METHOD_JOINT_QCNN in cfg.methods else None
 
 
-def _theta_tag(theta: float) -> str:
-    # the shortest round-trip form, so distinct levels never share a file
+def theta_tag(theta: float) -> str:
+    """A level's tag in file names: the shortest round-trip form, so distinct
+    levels never share a file."""
     return repr(float(theta))
 
 
 def results_csv_path(output_dir: Path, method: str, theta: float) -> Path:
-    return Path(output_dir) / f"results_{method}_theta{_theta_tag(theta)}.csv"
+    return Path(output_dir) / f"results_{method}_theta{theta_tag(theta)}.csv"
 
 
 def summary_csv_path(output_dir: Path, theta: float) -> Path:
-    return Path(output_dir) / f"summary_theta{_theta_tag(theta)}.csv"
+    return Path(output_dir) / f"summary_theta{theta_tag(theta)}.csv"
 
 
 def write_results_csv(path: Path, rows: list[tuple[str, BacktestResult]]) -> None:
@@ -357,7 +357,7 @@ def write_results_csv(path: Path, rows: list[tuple[str, BacktestResult]]) -> Non
         lines.append(
             f"{asset_id},{r.exceedance_rate!r},{r.dq_statistic!r},{r.p_value!r},{r.mean_var!r}"
         )
-    path.write_text("\n".join(lines) + "\n")
+    write_output(path, "results file", "\n".join(lines) + "\n")
 
 
 def write_summary_csv(path: Path, summaries: list[MethodSummary]) -> None:
@@ -371,17 +371,17 @@ def write_summary_csv(path: Path, summaries: list[MethodSummary]) -> None:
             f"{s.exceedance_sd!r},{s.dq_rejection_rate_01!r},"
             f"{s.dq_rejection_rate_05!r},{s.mean_var!r}"
         )
-    path.write_text("\n".join(lines) + "\n")
+    write_output(path, "summary file", "\n".join(lines) + "\n")
 
 
 def _write_series_csv(output_dir: Path, forecast: VarForecast) -> None:
     path = Path(output_dir) / (
-        f"series_{forecast.method}_theta{_theta_tag(forecast.theta)}_{forecast.asset_id}.csv"
+        f"series_{forecast.method}_theta{theta_tag(forecast.theta)}_{forecast.asset_id}.csv"
     )
     lines = ["day_index,var"]
     for i, v in enumerate(forecast.values):
         lines.append(f"{forecast.start_index + i},{float(v)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    write_output(path, "series file", "\n".join(lines) + "\n")
 
 
 def write_run_manifest(cfg: ExperimentConfig, assets: list[str], skips: list[dict]) -> None:
@@ -403,8 +403,8 @@ def write_run_manifest(cfg: ExperimentConfig, assets: list[str], skips: list[dic
         # one documented order, whatever order the tasks ran in
         "skipped": sorted(skips, key=lambda s: (s["asset"], s["stage"], s["reason"])),
     }
-    path = Path(cfg.output_dir) / "run_manifest.json"
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    write_output(Path(cfg.output_dir) / "run_manifest.json", "run manifest", text)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
@@ -495,7 +495,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
                 skip = _skip(WHOLE_LEVEL, _stage(METHOD_JOINT_QCNN, theta), exc)
                 outcomes[WHOLE_LEVEL, METHOD_JOINT_QCNN, theta] = skip
                 continue
-            save_model(model, output_dir / f"joint_qcnn_theta{_theta_tag(theta)}.json")
+            save_model(model, output_dir / f"joint_qcnn_theta{theta_tag(theta)}.json")
             for asset_id, outcome in scored.items():
                 _record(outcomes, asset_id, METHOD_JOINT_QCNN, {theta: outcome}, cfg)
 

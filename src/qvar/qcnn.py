@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig, check_quantile_level
-from .data import Scaler, WindowSet, invert_scaler
+from .data import Scaler, WindowSet, invert_scaler, write_output
 from .errors import DomainError, InsufficientDataError, ShapeError
 
 RECTIFIER = "rectifier"
@@ -581,13 +581,8 @@ def adadelta_step(params: np.ndarray, grad: np.ndarray, state: AdadeltaState) ->
 # ---------------------------------------------------------------------------
 
 
-def train(
-    windows: WindowSet,
-    theta: float,
-    cfg: TrainConfig,
-    model: QcnnModel | None = None,
-) -> QcnnModel:
-    """Train a model on windowed sequences; deterministic for a fixed seed.
+def train(windows: WindowSet, theta: float, cfg: TrainConfig) -> QcnnModel:
+    """Train a freshly built model on windowed sequences; deterministic for a fixed seed.
 
     Initialization and epoch shuffling both draw from one seeded generator.
     Batches of cfg.batch_size are cut from a fresh permutation each epoch and
@@ -599,16 +594,13 @@ def train(
     the same forward and backward layer loop in one position-major layout.
     Adadelta updates the workspace's packed parameter vector in place; the
     model's layers get new weights and biases arrays from it once, at the
-    end, and the arrays they held before are left as they were.
+    end.
     """
     n, T = len(windows), windows.window
     if n == 0:
         raise InsufficientDataError("cannot train on an empty window set")
     rng = np.random.default_rng(cfg.seed)
-    if model is None:
-        model = build_model(theta, rng=rng)
-    elif model.theta != theta:
-        raise DomainError(f"model targets theta={model.theta}, asked to train at {theta}")
+    model = build_model(theta, rng=rng)
     ws = _Workspace(model, max(T, SUB_BATCH_COLUMNS))
     state = AdadeltaState.for_params(ws.packed, cfg.rho, cfg.epsilon)
     days, group, start = _concat_series(windows)
@@ -669,7 +661,8 @@ def save_model(model: QcnnModel, path: str | Path) -> None:
             for i, layer in enumerate(model.layers)
         ],
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    write_output(path, "checkpoint", text)
 
 
 def load_model(path: str | Path) -> QcnnModel:

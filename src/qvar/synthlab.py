@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import GarchParams, gaussian_quantile
 from .config import GARCH11, IID_NORMAL
-from .data import TRAIN_FRACTION, ReturnSeries, prices_from_returns
+from .data import ReturnSeries, prices_from_returns, write_output
 from .errors import DomainError
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -103,9 +103,7 @@ def simulate(spec: SimSpec, asset_id: str | None = None) -> tuple[ReturnSeries, 
             eps_prev = math.sqrt(sigma2[t]) * z[t]
             returns[t] = p.mu + eps_prev
         sigma = np.sqrt(sigma2)
-    split = int(math.floor(TRAIN_FRACTION * spec.length))
-    series = ReturnSeries(asset_id=asset_id, returns=returns, split_index=split)
-    return series, sigma
+    return ReturnSeries(asset_id=asset_id, returns=returns), sigma
 
 
 def true_var(sigma_path, mu: float, theta: float) -> np.ndarray:
@@ -114,30 +112,28 @@ def true_var(sigma_path, mu: float, theta: float) -> np.ndarray:
     return -(mu + sigma * gaussian_quantile(theta))
 
 
-def write_price_csv(
-    series: ReturnSeries,
-    path: str | Path,
-    initial_price: float = 100.0,
-    start_date: dt.date = dt.date(2009, 1, 1),
-) -> None:
+_FIRST_DAY = dt.date(2009, 1, 1)
+
+
+def write_price_csv(series: ReturnSeries, path: str | Path) -> None:
     """Export the series as a price CSV the data module can ingest.
 
-    Prices are the cumulative exponentiation of the returns from
-    initial_price, dated on consecutive calendar days. Raises DomainError,
+    Prices are the cumulative exponentiation of the returns from 100, dated
+    on consecutive calendar days from 2009-01-01. Raises DomainError,
     naming the first day, when a close is not a positive finite double (it
     overflows, or underflows to 0), since the data module would reject
     that file.
     """
     with np.errstate(all="ignore"):
-        closes = prices_from_returns(series.returns, initial_price)
+        closes = prices_from_returns(series.returns)
     bad = np.flatnonzero(~(np.isfinite(closes) & (closes > 0)))
     if bad.size:
-        day = start_date + dt.timedelta(days=int(bad[0]))
+        day = _FIRST_DAY + dt.timedelta(days=int(bad[0]))
         close = float(closes[bad[0]])
         what = "overflows a double" if close == np.inf else f"is {close!r}, not a positive double"
         raise DomainError(f"{series.asset_id}: the close on {day.isoformat()} {what}")
     lines = ["date,close"]
     for i, close in enumerate(closes):
-        day = start_date + dt.timedelta(days=i)
+        day = _FIRST_DAY + dt.timedelta(days=i)
         lines.append(f"{day.isoformat()},{float(close)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_output(path, "price file", "\n".join(lines) + "\n")

@@ -221,12 +221,12 @@ class TestGarch:
         # unit sigma forecast: omega = 1, alpha = beta = 0 gives sigma[t+1] = 1
         p = GarchParams(omega=1.0, alpha=0.0, beta=0.0, mu=0.0)
         history = np.zeros(10)
-        assert garch_var_path(p, history, 10, 0.05)[-1] == pytest.approx(1.6448536269514722, abs=1e-9)
-        assert garch_var_path(p, history, 10, 0.5)[-1] == pytest.approx(0.0, abs=1e-12)
+        assert garch_var_path(p, history, 10, 0.05, 1.0)[-1] == pytest.approx(1.6448536269514722, abs=1e-9)
+        assert garch_var_path(p, history, 10, 0.5, 1.0)[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_var_vanishing_sigma_limit(self):
         p = GarchParams(omega=1e-12, alpha=0.0, beta=0.0, mu=0.0)
-        assert abs(garch_var_path(p, np.zeros(10), 10, 0.05)[-1]) < 1e-5
+        assert abs(garch_var_path(p, np.zeros(10), 10, 0.05, 1e-12)[-1]) < 1e-5
 
     def test_var_path_matches_pointwise(self):
         rng = np.random.default_rng(13)

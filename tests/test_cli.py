@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -6,27 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qvar.baselines import GarchParams, constant_var
+import conftest
+import qvar.cli
+from qvar.baselines import constant_var
 from qvar.cli import CONFIG_KEYS, build_parser, experiment_config_from_args, main
 from qvar.data import load_prices, log_returns
+from qvar.errors import FitError
 from qvar.harness import ExperimentConfig
 from qvar.qcnn import TrainConfig
-from qvar.synthlab import GARCH11, SimSpec, simulate, write_price_csv
 
-
-def write_panel(tmp_path, n_assets=3, length=400):
-    garch = GarchParams(omega=0.05, alpha=0.1, beta=0.85, mu=0.0)
-    names = []
-    for i in range(n_assets):
-        series, _ = simulate(
-            SimSpec(process=GARCH11, length=length, seed=300 + i, garch=garch),
-            asset_id=f"asset{i}",
-        )
-        write_price_csv(series, tmp_path / f"asset{i}.csv")
-        names.append(f"asset{i}.csv")
-    manifest = tmp_path / "assets.txt"
-    manifest.write_text("\n".join(names) + "\n")
-    return manifest
+write_panel = functools.partial(conftest.write_panel, seed_base=300)
 
 
 def write_config(tmp_path, manifest, out_dir, seed=5):
@@ -90,6 +80,17 @@ class TestExitCodes:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_fit_error_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a run records every FitError it meets as a skip, so only a stand-in
+        # run reaches main's fit-error exit
+        def failing_run(cfg):
+            raise FitError("optimizer diverged")
+
+        monkeypatch.setattr(qvar.cli, "run_experiment", failing_run)
+        argv = ["run", "--manifest", str(tmp_path / "assets.txt"), "--output-dir", str(tmp_path)]
+        assert main(argv) == 3
+        assert "qvar: fit error: optimizer diverged" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_deterministic_output_files(self, tmp_path, capsys):
@@ -114,6 +115,13 @@ class TestSimulate:
         )
         series = log_returns(load_prices(out))
         assert len(series) == 250
+
+    def test_directory_in_the_way_exits_2(self, tmp_path, capfd):
+        code = main(["simulate", "--process", "iid_normal", "--n", "100", "--out", str(tmp_path)])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert f"{tmp_path}: cannot write price file" in err
+        assert "Traceback" not in err
 
 
 class TestRun:
@@ -176,6 +184,47 @@ class TestRun:
         assert (out_dir / "summary_theta0.05.csv").read_bytes() != (
             out_dir / "summary_theta0.05000001.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "blocked, flags",
+        [
+            ("results_constant_theta0.05.csv", ["--workers", "1"]),
+            ("series_constant_theta0.05_asset1.csv", ["--workers", "1", "--write-series"]),
+            ("series_constant_theta0.05_asset1.csv", ["--workers", "2", "--write-series"]),
+        ],
+        ids=["results", "series-1-worker", "series-2-workers"],
+    )
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, capfd, blocked, flags):
+        manifest = write_panel(tmp_path, n_assets=2)
+        out_dir = tmp_path / "out"
+        (out_dir / blocked).mkdir(parents=True)
+        code = main(
+            ["run", "--manifest", str(manifest), "--output-dir", str(out_dir),
+             "--theta", "0.05", "--methods", "constant", "--window", "32", *flags]
+        )
+        err = capfd.readouterr().err
+        assert code == 2
+        assert f"qvar: {out_dir / blocked}: cannot write" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config, flags, fragment",
+        [
+            ("manifest = assets.txt\n", [], "File contains no section headers"),
+            ("[bogus]\n", [], "unknown config section [bogus]"),
+            (None, ["--output-dir", "out"], "a manifest is required"),
+            (None, ["--manifest", "assets.txt"], "an output directory is required"),
+        ],
+        ids=["no-section-header", "unknown-section", "no-manifest", "no-output-dir"],
+    )
+    def test_incomplete_settings_exit_2(self, tmp_path, capsys, config, flags, fragment):
+        argv = ["run", *flags]
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        assert fragment in capsys.readouterr().err
 
     def test_misspelled_boolean_rejected(self, tmp_path, capsys):
         manifest = write_panel(tmp_path, n_assets=1)
@@ -408,6 +457,13 @@ class TestBacktest:
         values[40] = cell
         var_path.write_text("var\n" + "\n".join(values) + "\n")
         return ["backtest", "--prices", str(tmp_path / "asset0.csv"), "--var", str(var_path), "--theta", "0.05"]
+
+    def test_header_only_var_exits_2(self, tmp_path, capsys):
+        argv = self.write_var(tmp_path, "0.02")
+        var = tmp_path / "var.csv"
+        var.write_text("var\n")
+        assert main(argv) == 2
+        assert f"{var}: no VaR rows" in capsys.readouterr().err
 
     def test_non_finite_var_exits_2(self, tmp_path, capsys):
         assert main(self.write_var(tmp_path, "nan")) == 2

@@ -32,13 +32,6 @@ def write_csv(path, rows, header="date,close"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
-def make_series(returns, split=None, asset_id="t"):
-    returns = np.asarray(returns, dtype=float)
-    if split is None:
-        split = int(math.floor(0.7 * len(returns)))
-    return ReturnSeries(asset_id=asset_id, returns=returns, split_index=split)
-
-
 class TestLoadPrices:
     def test_two_row_file(self, tmp_path):
         p = tmp_path / "aa.csv"
@@ -182,18 +175,18 @@ class TestLogReturns:
 
 class TestScaler:
     def test_two_point_train(self):
-        s = fit_scaler(make_series([0.0, 2.0, 5.0], split=2))
+        s = fit_scaler(ReturnSeries("t", [0.0, 2.0, 5.0]))
         assert s.mean == 1.0 and s.std == 1.0
 
     def test_zero_variance(self):
         with pytest.raises(DegenerateDataError):
-            fit_scaler(make_series([4.0, 4.0, 9.0], split=2))
+            fit_scaler(ReturnSeries("t", [4.0, 4.0, 9.0]))
 
     def test_standard_normal_sample(self):
         rng = np.random.default_rng(3)
-        draws = rng.standard_normal(1000)
-        s = fit_scaler(make_series(draws, split=1000 - 1))
-        # fitted on 999 of the draws; law of large numbers bounds
+        draws = rng.standard_normal(1428)
+        s = fit_scaler(ReturnSeries("t", draws))
+        # fitted on the first 999 of the draws; law of large numbers bounds
         assert abs(s.mean) < 0.1
         assert abs(s.std - 1.0) < 0.1
 
@@ -212,10 +205,10 @@ class TestScaler:
     def test_no_lookahead(self):
         rng = np.random.default_rng(5)
         returns = rng.normal(size=300)
-        base = make_series(returns.copy())
+        base = ReturnSeries("t", returns.copy())
         mutated = returns.copy()
         mutated[base.split_index :] = 99.0
-        other = make_series(mutated, split=base.split_index)
+        other = ReturnSeries("t", mutated)
         s1, s2 = fit_scaler(base), fit_scaler(other)
         assert s1.mean == s2.mean and s1.std == s2.std
 
@@ -224,7 +217,7 @@ class TestScaler:
         # train on all-zero windows
         returns = 1e153 * np.random.default_rng(0).standard_normal(500)
         with pytest.raises(DegenerateDataError, match="overflows"):
-            fit_scaler(make_series(returns, split=350))
+            fit_scaler(ReturnSeries("t", returns))
 
     def test_std_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -237,14 +230,14 @@ class TestWindows:
 
     def test_boundary_single_window(self):
         rng = np.random.default_rng(0)
-        series = make_series(rng.normal(size=185), split=129)
+        series = ReturnSeries("t", rng.normal(size=185))
         ws = make_windows(series, fit_scaler(series))
         assert len(ws) == 1
         assert ws.origins == (("t", 0),)
 
     def test_two_windows_alignment(self):
         rng = np.random.default_rng(1)
-        series = make_series(rng.normal(size=186), split=130)
+        series = ReturnSeries("t", rng.normal(size=186))
         scaler = fit_scaler(series)
         ws = make_windows(series, scaler)
         assert len(ws) == 2
@@ -254,7 +247,8 @@ class TestWindows:
 
     def test_count_against_enumeration(self):
         rng = np.random.default_rng(2)
-        series = make_series(rng.normal(size=2517), split=1762)
+        series = ReturnSeries("t", rng.normal(size=2518))
+        assert series.split_index == 1762
         ws = make_windows(series, fit_scaler(series))
         # oracle: enumerate admissible starts directly
         starts = [s for s in range(1762) if s + 129 <= 1762]
@@ -263,7 +257,7 @@ class TestWindows:
 
     def test_targets_are_shifted_inputs(self):
         rng = np.random.default_rng(3)
-        series = make_series(rng.normal(size=220), split=140)
+        series = ReturnSeries("t", rng.normal(size=200))
         scaler = fit_scaler(series)
         ws = make_windows(series, scaler, window=16, stride=3)
         scaled = self.scaled(series, scaler)
@@ -275,14 +269,14 @@ class TestWindows:
             assert start + ws.window < series.split_index + 1
 
     def test_too_short(self):
-        series = make_series(np.arange(100, dtype=float), split=90)
+        series = ReturnSeries("t", np.arange(129, dtype=float))
         with pytest.raises(InsufficientDataError):
             make_windows(series, Scaler(mean=0.0, std=1.0), window=128)
 
     def test_pool_counts_and_order(self):
         rng = np.random.default_rng(4)
-        a = make_series(rng.normal(size=200), split=140, asset_id="a")
-        b = make_series(rng.normal(size=200), split=140, asset_id="b")
+        a = ReturnSeries("a", rng.normal(size=200))
+        b = ReturnSeries("b", rng.normal(size=200))
         wa = make_windows(a, fit_scaler(a), window=32)
         wb = make_windows(b, fit_scaler(b), window=32)
         pooled = pool_windows([wa, wb])
@@ -291,8 +285,8 @@ class TestWindows:
 
     def test_pool_rejects_repeated_asset_id(self):
         rng = np.random.default_rng(5)
-        a = make_series(rng.normal(size=200), split=140, asset_id="a")
-        again = make_series(rng.normal(size=200), split=140, asset_id="a")
+        a = ReturnSeries("a", rng.normal(size=200))
+        again = ReturnSeries("a", rng.normal(size=200))
         with pytest.raises(DomainError, match="'a'"):
             pool_windows([make_windows(s, fit_scaler(s), window=32) for s in (a, again)])
 
@@ -313,7 +307,8 @@ class TestWindows:
 def test_prices_returns_round_trip():
     rng = np.random.default_rng(9)
     returns = rng.normal(0, 0.02, size=500)
-    prices = prices_from_returns(returns, initial_price=73.0)
+    prices = prices_from_returns(returns)
+    assert prices[0] == 100.0
     back = np.diff(np.log(prices))
     assert np.max(np.abs(back - returns)) < 1e-10
 

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import math
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest
 import qvar.cli
 import qvar.harness
 from qvar.backtest import BacktestResult
@@ -167,7 +169,7 @@ class TestRunSingle:
 class TestJoint:
     def test_two_identical_assets_double_the_windows(self, tmp_path):
         a = sim_series(5, asset_id="a")
-        b = ReturnSeries(asset_id="b", returns=a.returns.copy(), split_index=a.split_index)
+        b = ReturnSeries(asset_id="b", returns=a.returns.copy())
         wa = make_windows(a, fit_scaler(a), window=32)
         wb = make_windows(b, fit_scaler(b), window=32)
         pooled = pool_windows([wa, wb])
@@ -175,7 +177,7 @@ class TestJoint:
 
     def test_joint_needs_two_assets(self, tmp_path):
         # the flat asset cannot be scaled; the one failure names it
-        flat = ReturnSeries(asset_id="flat", returns=np.zeros(399), split_index=300)
+        flat = ReturnSeries(asset_id="flat", returns=np.zeros(429))
         with pytest.raises(InsufficientDataError, match=r"left out flat \(DegenerateDataError: "):
             run_joint_qcnn([sim_series(6), flat], 0.05, fast_cfg(tmp_path))
 
@@ -242,16 +244,7 @@ class TestAggregate:
         assert aggregate({"m": []}) == []
 
 
-def write_panel(tmp_path, n_assets=3, length=400):
-    paths = []
-    for i in range(n_assets):
-        series = sim_series(100 + i, n=length, asset_id=f"asset{i}")
-        p = tmp_path / f"asset{i}.csv"
-        write_price_csv(series, p)
-        paths.append(p.name)
-    manifest = tmp_path / "assets.txt"
-    manifest.write_text("\n".join(paths) + "\n")
-    return manifest
+write_panel = functools.partial(conftest.write_panel, seed_base=100)
 
 
 class TestRunExperiment:
@@ -458,7 +451,7 @@ class TestRunExperiment:
 
     def test_joint_windows_built_once_per_run(self, tmp_path, monkeypatch):
         manifest = write_panel(tmp_path, n_assets=2)
-        flat = ReturnSeries(asset_id="flat", returns=np.zeros(399), split_index=300)
+        flat = ReturnSeries(asset_id="flat", returns=np.zeros(429))
         write_price_csv(flat, tmp_path / "flat.csv")
         manifest.write_text("asset0.csv\nflat.csv\nasset1.csv\n")
         real_make = qvar.harness.make_windows
@@ -488,15 +481,15 @@ class TestRunExperiment:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_joint_level_that_fails_to_train_is_one_star_skip(self, tmp_path, monkeypatch, workers):
         manifest = write_panel(tmp_path, n_assets=2)
-        flat = ReturnSeries(asset_id="flat", returns=np.zeros(399), split_index=300)
+        flat = ReturnSeries(asset_id="flat", returns=np.zeros(429))
         write_price_csv(flat, tmp_path / "flat.csv")
         manifest.write_text("asset0.csv\nflat.csv\nasset1.csv\n")
         real_train = qvar.harness.train
 
-        def train_failing_at_one_level(windows, theta, cfg, model=None):
+        def train_failing_at_one_level(windows, theta, cfg):
             if theta == 0.01:
                 raise FitError("diverged at 0.01")
-            return real_train(windows, theta, cfg, model)
+            return real_train(windows, theta, cfg)
 
         monkeypatch.setattr(qvar.harness, "train", train_failing_at_one_level)
         cfg = fast_cfg(
@@ -520,7 +513,7 @@ class TestRunExperiment:
 
     def test_run_joint_qcnn_is_one_level_of_the_run(self, tmp_path):
         manifest = write_panel(tmp_path, n_assets=2)
-        flat = ReturnSeries(asset_id="flat", returns=np.zeros(399), split_index=300)
+        flat = ReturnSeries(asset_id="flat", returns=np.zeros(429))
         write_price_csv(flat, tmp_path / "flat.csv")
         manifest.write_text("asset0.csv\nflat.csv\nasset1.csv\n")
         cfg = fast_cfg(
@@ -637,8 +630,8 @@ class TestRunExperiment:
         manifest = write_panel(tmp_path, n_assets=2)
         real_train = qvar.harness.train
 
-        def diverging_train(windows, theta, cfg, model=None):
-            model = real_train(windows, theta, cfg, model)
+        def diverging_train(windows, theta, cfg):
+            model = real_train(windows, theta, cfg)
             model.head.biases[:] = np.nan
             return model
 
@@ -676,7 +669,7 @@ class TestRunExperiment:
 
     def test_flat_asset_leaves_joint_model_to_the_rest(self, tmp_path):
         manifest = write_panel(tmp_path, n_assets=2)
-        flat = ReturnSeries(asset_id="flat", returns=np.zeros(399), split_index=300)
+        flat = ReturnSeries(asset_id="flat", returns=np.zeros(429))
         write_price_csv(flat, tmp_path / "flat.csv")
         manifest.write_text("asset0.csv\nflat.csv\nasset1.csv\n")
         cfg = fast_cfg(tmp_path, manifest=manifest, methods=("joint_qcnn",))

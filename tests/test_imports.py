@@ -1,6 +1,7 @@
 """What a qvar process loads and how many BLAS threads it starts, each case
 in a fresh interpreter."""
 
+import functools
 import json
 import os
 import subprocess
@@ -10,11 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import conftest
 import qvar
-from qvar.baselines import GarchParams
 from qvar.cli import main
 from qvar.harness import ALL_METHODS
-from qvar.synthlab import GARCH11, SimSpec, simulate, write_price_csv
 
 SRC = Path(qvar.__file__).resolve().parents[1]
 WATCHED = ("scipy.linalg", "scipy.optimize", "scipy.signal")
@@ -41,19 +41,10 @@ def run_python(*parts: str, environ=None):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def write_panel(tmp_path, length=300) -> Path:
-    """A two-asset GARCH panel; returns its manifest."""
-    garch = GarchParams(omega=0.05, alpha=0.1, beta=0.85, mu=0.0)
-    names = []
-    for i in range(2):
-        series, _ = simulate(
-            SimSpec(process=GARCH11, length=length, seed=700 + i, garch=garch), asset_id=f"a{i}"
-        )
-        write_price_csv(series, tmp_path / f"a{i}.csv")
-        names.append(f"a{i}.csv")
-    manifest = tmp_path / "assets.txt"
-    manifest.write_text("\n".join(names) + "\n")
-    return manifest
+# a two-asset panel; returns its manifest
+write_panel = functools.partial(
+    conftest.write_panel, seed_base=700, n_assets=2, length=300, prefix="a"
+)
 
 
 def experiment(tmp_path, methods, workers) -> str:

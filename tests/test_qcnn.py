@@ -341,7 +341,7 @@ def pooled_windows(assets, length, window, stride, seed):
     sets = []
     for a in range(assets):
         returns = 0.01 * rng.standard_normal(length)
-        series = ReturnSeries(f"a{a}", returns, int(0.7 * length))
+        series = ReturnSeries(f"a{a}", returns)
         sets.append(make_windows(series, fit_scaler(series), window=window, stride=stride))
     return pool_windows(sets)
 
@@ -539,20 +539,15 @@ class TestTrain:
 
     def test_parameters_are_new_contiguous_arrays(self):
         # criterion 1 and TestBackward perturb a parameter through p.ravel(),
-        # which must then be a view of p; the caller's arrays stay as they were
+        # which must then be a view of p
         rng = np.random.default_rng(23)
         windows = make_window_set(rng.standard_normal((6, 40)))
-        model = build_model(0.05, seed=4)
-        before = model_parameters(model)
-        kept = [p.copy() for p in before]
-        trained = train(windows, 0.05, TrainConfig(epochs=2, batch_size=4, seed=4), model=model)
-        assert trained is model
-        for p in model_parameters(model):
+        trained = train(windows, 0.05, TrainConfig(epochs=2, batch_size=4, seed=4))
+        for p in model_parameters(trained):
             assert p.flags.c_contiguous and p.base is None
             assert np.shares_memory(p.ravel(), p)
-        for p, copy in zip(before, kept):
-            assert np.array_equal(p, copy)
-        assert not all(np.array_equal(p, copy) for p, copy in zip(model_parameters(model), kept))
+        initial = model_parameters(build_model(0.05, rng=np.random.default_rng(4)))
+        assert not all(np.array_equal(p, q) for p, q in zip(model_parameters(trained), initial))
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(21)
@@ -646,12 +641,10 @@ class TestPredict:
 
 class TestCheckpoint:
     def test_round_trip_and_byte_stability(self, tmp_path):
-        model = build_model(0.01, seed=31)
-        train(
+        model = train(
             make_window_set(np.random.default_rng(1).standard_normal((4, 17))),
             0.01,
             TrainConfig(epochs=2, batch_size=2, seed=31),
-            model=model,
         )
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
         save_model(model, p1)

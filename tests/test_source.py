@@ -51,3 +51,16 @@ def test_every_private_module_name_is_used():
         and not any(name in r for j, r in enumerate(reads) if j != i)
     ]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name():
+    # a module's _name is its own; a name another module needs is public
+    imported = [
+        f"{path.stem}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert imported == []

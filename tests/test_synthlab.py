@@ -145,9 +145,9 @@ class TestTrueVar:
 
 def test_price_csv_round_trip(tmp_path):
     series, _ = simulate(SimSpec(process=IID_NORMAL, length=300, seed=21, mu=0.0003, sigma=0.015))
-    path = tmp_path / "sim.csv"
+    path = tmp_path / f"{series.asset_id}.csv"
     write_price_csv(series, path)
-    back = log_returns(load_prices(path, asset_id=series.asset_id))
+    back = log_returns(load_prices(path))
     assert back.asset_id == series.asset_id
     assert len(back) == len(series)
     assert back.split_index == series.split_index
@@ -156,13 +156,13 @@ def test_price_csv_round_trip(tmp_path):
 
 def test_price_csv_rejects_an_overflowing_close(tmp_path, recwarn):
     # cumulative log returns pass log(max double) ~ 709.8 on the fourth close
-    series = ReturnSeries("big", np.array([300.0, 300.0, 200.0, -1e3]), split_index=2)
+    series = ReturnSeries("big", np.array([300.0, 300.0, 200.0, -1e3]))
     path = tmp_path / "big.csv"
     with pytest.raises(DomainError, match="big: the close on 2009-01-04 overflows"):
         write_price_csv(series, path)
     assert not path.exists()
     # below about -745 the cumulative log return underflows the close to 0
-    series = ReturnSeries("small", np.array([-1000.0, 0.1]), split_index=1)
+    series = ReturnSeries("small", np.array([-1000.0, 0.1]))
     path = tmp_path / "small.csv"
     with pytest.raises(DomainError, match=r"small: the close on 2009-01-02 is 0\.0, not a positive"):
         write_price_csv(series, path)

@@ -194,6 +194,7 @@ def experiment_config_from_args(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     from .baselines import GarchParams
+    from .data import make_output_dir
     from .synthlab import SimSpec, simulate, write_price_csv
 
     if args.process == GARCH11:
@@ -206,7 +207,7 @@ def _cmd_simulate(args) -> int:
             process=IID_NORMAL, length=args.n, seed=args.seed, mu=args.mu, sigma=args.sigma
         )
     series, _sigma = simulate(spec, asset_id=args.asset_id)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(args.out.parent)
     write_price_csv(series, args.out)
     print(f"wrote {len(series)} returns as prices to {args.out}")
     return EXIT_OK

@@ -29,7 +29,7 @@ GARCH11 = "garch11"
 
 def check_quantile_level(theta: float) -> None:
     if not 0.0 < theta < 1.0:
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
+        raise DomainError(f"quantile level {theta} must lie strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ class ExperimentConfig:
             if m not in ALL_METHODS:
                 raise DomainError(f"unknown method {m!r}; choose from {ALL_METHODS}")
         for t in self.thetas:
-            if not 0.0 < t < 1.0:
-                raise DomainError(f"theta {t} must lie strictly inside (0, 1)")
+            check_quantile_level(t)
         for name in ("window", "stride", "sample_size", "workers"):
             value = getattr(self, name)
             if value is not None and value < 1:

@@ -1,11 +1,12 @@
 """Input and output files, price ingestion, log returns, train/test split,
 scaling and windowing.
 
-Every input file is opened by `open_input`, every CSV read by `read_csv`
-and every output file written by `write_output`. Price files are one CSV
-per asset with a header row and `date` (ISO-8601) and `close` (decimal)
-columns. A manifest file lists asset CSV paths, one per line. Each series
-is handled independently; there is no calendar alignment across assets.
+Every input file is opened by `open_input`, every CSV read by `read_csv`,
+every output file written by `write_output` and every output directory
+made by `make_output_dir`. Price files are one CSV per asset with a header
+row and `date` (ISO-8601) and `close` (decimal) columns. A manifest file
+lists asset CSV paths, one per line. Each series is handled independently;
+there is no calendar alignment across assets.
 """
 
 from __future__ import annotations
@@ -105,34 +106,42 @@ class Scaler:
 class WindowSet:
     """Overlapping training sequences cut from each asset's scaled training series.
 
-    series maps an asset id to its scaled training returns. Window w starts
-    at day s of asset a's series, (a, s) = origins[w]: inputs[w] is
-    series[a][s : s + window] and targets[w] the same slice one day later.
+    series maps an asset id to its scaled training returns. An asset's
+    windows start on days 0, stride, 2*stride, ... while start + window <
+    len(series[asset]); they are numbered asset by asset, in series order,
+    then by start. A window's inputs are series[asset][start : start +
+    window] and its targets the same slice one day later.
     """
 
     series: dict[str, np.ndarray]
-    origins: tuple[tuple[str, int], ...]
     window: int
+    stride: int
 
     def __post_init__(self):
-        if self.window < 1:
-            raise DomainError(f"window must be positive, got {self.window}")
+        if self.window < 1 or self.stride < 1:
+            raise DomainError(f"window and stride must be positive: {self.window}, {self.stride}")
         for asset, values in self.series.items():
             if not np.all(np.isfinite(values)):
                 raise DomainError(f"{asset}: scaled training series has a non-finite value")
-        last = {asset: len(values) - self.window - 1 for asset, values in self.series.items()}
-        for asset, start in self.origins:
-            if not 0 <= start <= last.get(asset, -1):
-                raise DomainError(
-                    f"window ({asset!r}, {start}) of length {self.window} does not fit its series"
-                )
 
     def __len__(self) -> int:
-        return len(self.origins)
+        return sum(len(range(0, len(v) - self.window, self.stride)) for v in self.series.values())
+
+    def layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The series laid end to end as (days, group, start): window w is
+        days[start[w] : start[w] + window], its targets one day later, and
+        group[w] numbers its asset in series order."""
+        lengths = [len(v) for v in self.series.values()]
+        offsets = np.cumsum([0, *lengths])
+        starts = [np.arange(o, o + n - self.window, self.stride) for o, n in zip(offsets, lengths)]
+        group = np.repeat(np.arange(len(starts), dtype=np.intp), [s.size for s in starts])
+        return np.concatenate([*self.series.values()]), group, np.concatenate(starts)
 
     def _slices(self, shift: int) -> np.ndarray:
-        rows = [self.series[a][s + shift : s + shift + self.window] for a, s in self.origins]
-        return np.array(rows, dtype=float).reshape(len(self), self.window)
+        days, _, start = self.layout()
+        if not start.size:  # sliding_window_view rejects fewer days than a window
+            return np.empty((0, self.window))
+        return np.lib.stride_tricks.sliding_window_view(days, self.window)[start + shift]
 
     @property
     def inputs(self) -> np.ndarray:
@@ -174,6 +183,15 @@ def write_output(path: Path, what: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise DomainError(f"{path}: cannot write {what}: {exc}") from None
+
+
+def make_output_dir(path: Path) -> None:
+    """Create an output directory and its parents. A name the OS rejects
+    (too long, a NUL byte) or a file in the way is a DomainError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot create output directory {path}: {exc}") from None
 
 
 def parse_finite(text: str) -> float:
@@ -306,37 +324,26 @@ def make_windows(
     w needs scaled returns up to index w + window; no window touches the
     test segment.
     """
-    if window < 1 or stride < 1:
-        raise DomainError("window and stride must be positive")
     train = series.train
     if len(train) < window + 1:
         raise InsufficientDataError(
             f"{series.asset_id}: training segment has {len(train)} returns, "
             f"need >= {window + 1} for windowing"
         )
-    starts = range(0, len(train) - window, stride)
-    return WindowSet(
-        series={series.asset_id: apply_scaler(train, scaler)},
-        origins=tuple((series.asset_id, s) for s in starts),
-        window=window,
-    )
+    return WindowSet({series.asset_id: apply_scaler(train, scaler)}, window, stride)
 
 
 def pool_windows(window_sets: list[WindowSet]) -> WindowSet:
     """Merge window sets from several assets into one training pool."""
     if not window_sets:
         raise InsufficientDataError("no window sets to pool")
-    widths = {ws.window for ws in window_sets}
-    if len(widths) != 1:
-        raise DomainError(f"cannot pool windows of different lengths: {sorted(widths)}")
+    shapes = {(ws.window, ws.stride) for ws in window_sets}
+    if len(shapes) != 1:
+        raise DomainError(f"cannot pool windows of different (window, stride): {sorted(shapes)}")
     series: dict[str, np.ndarray] = {}
     for ws in window_sets:
         for asset, values in ws.series.items():
             if asset in series:
                 raise DomainError(f"asset id {asset!r} appears in more than one window set")
             series[asset] = values
-    return WindowSet(
-        series=series,
-        origins=tuple(o for ws in window_sets for o in ws.origins),
-        window=widths.pop(),
-    )
+    return WindowSet(series, *shapes.pop())

@@ -50,6 +50,7 @@ from .data import (
     load_manifest,
     load_prices,
     log_returns,
+    make_output_dir,
     make_windows,
     pool_windows,
     write_output,
@@ -427,11 +428,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     fixed config and seed regardless of worker count.
     """
     output_dir = Path(cfg.output_dir)
-    try:
-        output_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        # a name the OS rejects (too long, a NUL byte), or a file in the way
-        raise DomainError(f"cannot create output directory {output_dir}: {exc}") from None
+    make_output_dir(output_dir)
     paths = load_manifest(cfg.manifest)
     if cfg.sample_size is not None and cfg.sample_size < len(paths):
         rng = np.random.default_rng(derive_seed(cfg.seed, "asset-sample"))

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig, check_quantile_level
-from .data import Scaler, WindowSet, invert_scaler, write_output
-from .errors import DomainError, InsufficientDataError, ShapeError
+from .data import Scaler, WindowSet, invert_scaler, open_input, write_output
+from .errors import DomainError, InsufficientDataError, ParseError, ShapeError
 
 RECTIFIER = "rectifier"
 IDENTITY = "identity"
@@ -439,19 +439,6 @@ def _loss_and_grads(model, blocks, n, ws) -> float:
     return loss / n
 
 
-def _concat_series(windows: WindowSet):
-    """The set's series laid end to end, with each window's group and start in them.
-
-    Window w is days[start[w] : start[w] + T], its targets one day later,
-    and group[w] numbers its asset's series in the set's order.
-    """
-    number = {asset: g for g, asset in enumerate(windows.series)}
-    offsets = np.cumsum([0, *(len(values) for values in windows.series.values())])
-    group = np.array([number[asset] for asset, _ in windows.origins], dtype=np.intp)
-    start = offsets[group] + np.array([s for _, s in windows.origins], dtype=np.int64)
-    return np.concatenate([*windows.series.values()]), group, start
-
-
 def _step_blocks(idx, days, group, start, T, R, cols):
     """The kernel blocks of one training step over the windows idx.
 
@@ -603,7 +590,7 @@ def train(windows: WindowSet, theta: float, cfg: TrainConfig) -> QcnnModel:
     model = build_model(theta, rng=rng)
     ws = _Workspace(model, max(T, SUB_BATCH_COLUMNS))
     state = AdadeltaState.for_params(ws.packed, cfg.rho, cfg.epsilon)
-    days, group, start = _concat_series(windows)
+    days, group, start = windows.layout()
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
@@ -666,27 +653,32 @@ def save_model(model: QcnnModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> QcnnModel:
-    """Read a checkpoint written by save_model."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise DomainError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DomainError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    hidden = []
-    head = None
-    for spec in payload["layers"]:
-        layer = ConvLayer(
-            weights=np.array(spec["weights"], dtype=float).reshape(
-                spec["out_channels"], spec["in_channels"], spec["kernel_size"]
-            ),
-            biases=np.array(spec["biases"], dtype=float),
-            dilation=spec["dilation"],
-            activation=spec["activation"],
-        )
-        if spec["kind"] == "head":
-            head = layer
-        else:
-            hidden.append(layer)
-    if head is None:
-        raise DomainError(f"{path}: checkpoint has no head layer")
-    return QcnnModel(hidden_layers=hidden, head=head, theta=payload["theta"])
+    """Read a checkpoint written by save_model. A file that cannot be read,
+    is not JSON or holds JSON of another shape is a ParseError naming it."""
+    with open_input(Path(path), "checkpoint") as fh:
+        payload = json.load(fh)
+    try:
+        if payload.get("format") != CHECKPOINT_FORMAT:
+            raise DomainError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
+        if payload.get("version") != CHECKPOINT_VERSION:
+            raise DomainError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+        hidden = []
+        head = None
+        for spec in payload["layers"]:
+            layer = ConvLayer(
+                weights=np.array(spec["weights"], dtype=float).reshape(
+                    spec["out_channels"], spec["in_channels"], spec["kernel_size"]
+                ),
+                biases=np.array(spec["biases"], dtype=float),
+                dilation=spec["dilation"],
+                activation=spec["activation"],
+            )
+            if spec["kind"] == "head":
+                head = layer
+            else:
+                hidden.append(layer)
+        if head is None:
+            raise DomainError(f"{path}: checkpoint has no head layer")
+        return QcnnModel(hidden_layers=hidden, head=head, theta=payload["theta"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed checkpoint: {exc!r}") from None

@@ -123,6 +123,15 @@ class TestSimulate:
         assert f"{tmp_path}: cannot write price file" in err
         assert "Traceback" not in err
 
+    def test_file_in_the_way_of_its_directory_exits_2(self, tmp_path, capfd):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x.csv"
+        code = main(["simulate", "--process", "iid_normal", "--n", "100", "--out", str(out)])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert f"cannot create output directory {tmp_path / 'afile'}" in err
+        assert "Traceback" not in err
+
 
 class TestRun:
     def test_run_with_config(self, tmp_path, capsys):

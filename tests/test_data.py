@@ -233,7 +233,8 @@ class TestWindows:
         series = ReturnSeries("t", rng.normal(size=185))
         ws = make_windows(series, fit_scaler(series))
         assert len(ws) == 1
-        assert ws.origins == (("t", 0),)
+        _, group, start = ws.layout()
+        assert group.tolist() == start.tolist() == [0]
 
     def test_two_windows_alignment(self):
         rng = np.random.default_rng(1)
@@ -261,8 +262,9 @@ class TestWindows:
         scaler = fit_scaler(series)
         ws = make_windows(series, scaler, window=16, stride=3)
         scaled = self.scaled(series, scaler)
-        for w, (asset, start) in enumerate(ws.origins):
-            assert asset == "t"
+        _, group, starts = ws.layout()
+        assert not group.any()
+        for w, start in enumerate(starts.tolist()):
             for t in range(ws.window):
                 assert ws.inputs[w][t] == scaled[start + t]
                 assert ws.targets[w][t] == scaled[start + t + 1]
@@ -281,7 +283,10 @@ class TestWindows:
         wb = make_windows(b, fit_scaler(b), window=32)
         pooled = pool_windows([wa, wb])
         assert len(pooled) == len(wa) + len(wb)
-        assert pooled.origins[: len(wa)] == wa.origins
+        days, group, start = pooled.layout()
+        assert np.array_equal(days, np.concatenate([wa.layout()[0], wb.layout()[0]]))
+        assert group.tolist() == [0] * len(wa) + [1] * len(wb)
+        assert start.tolist() == [*wa.layout()[2], *(len(wa.series["a"]) + wb.layout()[2])]
 
     def test_pool_rejects_repeated_asset_id(self):
         rng = np.random.default_rng(5)
@@ -290,18 +295,9 @@ class TestWindows:
         with pytest.raises(DomainError, match="'a'"):
             pool_windows([make_windows(s, fit_scaler(s), window=32) for s in (a, again)])
 
-    @pytest.mark.parametrize(
-        "origin", [("t", -1), ("t", 4), ("u", 0)], ids=["before-start", "past-end", "unknown-asset"]
-    )
-    def test_origin_outside_its_series_rejected(self, origin):
-        # 8 days hold windows of 4 starting at 0..3: the last one's targets end on day 7
-        assert len(WindowSet(series={"t": np.zeros(8)}, origins=(("t", 3),), window=4)) == 1
-        with pytest.raises(DomainError):
-            WindowSet(series={"t": np.zeros(8)}, origins=(origin,), window=4)
-
     def test_non_finite_series_rejected(self):
         with pytest.raises(DomainError, match="non-finite"):
-            WindowSet(series={"t": np.array([0.0, np.inf, 0.0])}, origins=(("t", 0),), window=1)
+            WindowSet(series={"t": np.array([0.0, np.inf, 0.0])}, window=1, stride=1)
 
 
 def test_prices_returns_round_trip():

@@ -49,10 +49,9 @@ def conv(out=8, cin=1, k=2, **fields):
     return ConvLayer(**{**spec, "activation": "rectifier", **fields})
 
 
-def windows(width):
+def windows(width, stride=1):
     """One window of `width` days over an asset of its own."""
-    asset = f"w{width}"
-    return WindowSet(series={asset: np.zeros(width + 1)}, origins=((asset, 0),), window=width)
+    return WindowSet({f"w{width}": np.zeros(width + 1)}, width, stride)
 
 
 def checkpoint(tmp_path, change):
@@ -103,8 +102,8 @@ GUARDS = {
         DomainError, "x: a return series needs at least one return",
     ),
     "data-window-set-width": (
-        lambda _: WindowSet(series={"t": np.zeros(8)}, origins=(), window=0),
-        DomainError, "window must be positive, got 0",
+        lambda _: WindowSet(series={"t": np.zeros(8)}, window=0, stride=1),
+        DomainError, "window and stride must be positive: 0, 1",
     ),
     "data-scaler-train": (
         lambda _: fit_scaler(ReturnSeries("x", np.array([0.1, 0.2]))),
@@ -124,7 +123,11 @@ GUARDS = {
     ),
     "data-pool-widths": (
         lambda _: pool_windows([windows(4), windows(5)]),
-        DomainError, "cannot pool windows of different lengths: [4, 5]",
+        DomainError, "cannot pool windows of different (window, stride): [(4, 1), (5, 1)]",
+    ),
+    "data-pool-strides": (
+        lambda _: pool_windows([windows(4), windows(4, stride=2)]),
+        DomainError, "cannot pool windows of different (window, stride): [(4, 1), (4, 2)]",
     ),
     "qcnn-weights-rank": (
         lambda _: conv(weights=np.zeros((8, 2))),
@@ -184,7 +187,7 @@ GUARDS = {
     ),
     "config-theta": (
         lambda _: ExperimentConfig(Path("m"), Path("o"), thetas=(1.5,)),
-        DomainError, "theta 1.5 must lie strictly inside (0, 1)",
+        DomainError, "quantile level 1.5 must lie strictly inside (0, 1)",
     ),
     "harness-method": (
         lambda _: run_single(

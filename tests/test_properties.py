@@ -1,5 +1,6 @@
 """Property tests: every forecaster keeps the path contract under random
-truncation, the fitters turn hostile inputs into qvar errors only, GARCH's
+truncation, the fitters turn hostile inputs into qvar errors only, a
+window set lays out every (asset, start) in order, GARCH's
 variance recursion and Nelder-Mead loop match scipy's bit for bit, price
 files load back bit-exact in date order, a run survives broken price files
 and gives every (asset, method, level) of a hostile panel one row or one
@@ -37,9 +38,11 @@ from qvar.cli import main
 from qvar.data import (
     ReturnSeries,
     Scaler,
+    WindowSet,
     fit_scaler,
     load_prices,
     make_windows,
+    pool_windows,
     prices_from_returns,
 )
 from qvar.errors import DomainError, QvarError
@@ -227,6 +230,41 @@ def test_fitters_raise_only_qvar_errors(returns, theta):
             make_windows(series, fit_scaler(series), window=32)
         except QvarError:
             pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 60), min_size=1, max_size=4),
+    window=st.integers(1, 20),
+    stride=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lengths=[3, 5], window=5, stride=1, seed=0)  # no series holds a window
+def test_window_layout_is_every_start_in_order(lengths, window, stride, seed):
+    rng = np.random.default_rng(seed)
+    rows = [rng.standard_normal(n) for n in lengths]
+    series = {f"a{i}": row for i, row in enumerate(rows)}
+    windows = WindowSet(series, window, stride)
+    # every start on the stride whose targets end inside its series
+    origins = [
+        (g, s)
+        for g, n in enumerate(lengths)
+        for s in range(n)
+        if s % stride == 0 and s + window < n
+    ]
+    offsets = np.cumsum([0, *lengths])
+    days, group, start = windows.layout()
+    assert len(windows) == len(origins)
+    assert np.array_equal(days, np.concatenate(rows))
+    assert group.dtype == np.intp and start.dtype == np.int64
+    assert list(zip(group.tolist(), (start - offsets[group]).tolist())) == origins
+    for shift, got in ((0, windows.inputs), (1, windows.targets)):
+        expected = [rows[g][s + shift : s + shift + window] for g, s in origins]
+        assert got.shape == (len(origins), window)
+        assert np.array_equal(got, np.array(expected).reshape(got.shape))
+    pooled = pool_windows([WindowSet({a: v}, window, stride) for a, v in series.items()])
+    for got, expected in zip(pooled.layout(), (days, group, start)):
+        assert np.array_equal(got, expected) and got.dtype == expected.dtype
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvar.data import ReturnSeries, Scaler, WindowSet, fit_scaler, make_windows, pool_windows
-from qvar.errors import DomainError, InsufficientDataError, ShapeError
+from qvar.errors import DomainError, InsufficientDataError, ParseError, ShapeError
 from qvar.qcnn import (
     IDENTITY,
     RECTIFIER,
@@ -28,7 +28,6 @@ from qvar.qcnn import (
     train,
 )
 from qvar.qcnn import (
-    _concat_series,
     _loss_and_grads,
     _step_blocks,
     _unpacked,
@@ -386,7 +385,7 @@ class TestTwoPassStep:
         n = idx.size * window
         ws = _Workspace(model, max(window, cols))
 
-        blocks = _step_blocks(idx, *_concat_series(windows), window, R, ws.cols)
+        blocks = _step_blocks(idx, *windows.layout(), window, R, ws.cols)
         loss, grads = kernel(model, blocks, n, ws)
         whole_batch = [(inputs[idx], targets[idx], 1.0, None)]
         ref_loss, ref_grads = kernel(model, whole_batch, n, ws)
@@ -395,21 +394,22 @@ class TestTwoPassStep:
             assert np.max(np.abs(got - expected)) <= 1e-12 * scale
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-300)
 
-        again = _step_blocks(idx, *_concat_series(windows), window, R, ws.cols)
+        again = _step_blocks(idx, *windows.layout(), window, R, ws.cols)
         assert len(again) == len(blocks)
         for block, same in zip(blocks, again):
             for a, b in zip(block, same):
                 assert np.array_equal(a, b)
 
         # an asset's windows run whole unless k*(R-1) + span + R-1 < k*T columns
+        _, group, start = windows.layout()
         by_asset = {}
         for w in idx:
-            by_asset.setdefault(windows.origins[w][0], []).append(windows.origins[w][1])
+            by_asset.setdefault(group[w], []).append(start[w])
         split = {
             a: len(s) * (R - 1) + max(s) - min(s) + window < len(s) * window
             for a, s in by_asset.items()
         }
-        whole = [w for w in idx if not split[windows.origins[w][0]]]
+        whole = [w for w in idx if not split[group[w]]]
         if window <= R - 1 or not any(split.values()):
             assert len(blocks) == 1
         if whole:
@@ -435,7 +435,7 @@ class TestTwoPassStep:
 
         def gradient(ws):
             blocks = _step_blocks(
-                idx, *_concat_series(windows), windows.window, model.receptive_field, ws.cols
+                idx, *windows.layout(), windows.window, model.receptive_field, ws.cols
             )
             assert any(heads is not None for *_, heads in blocks)  # prefix passes run
             loss = _loss_and_grads(model, blocks, n, ws)
@@ -494,11 +494,7 @@ def make_window_set(series):
     """One window per row of `series`, each row its own asset's series: the
     window is the row's first len-1 days, its targets the last len-1."""
     series = np.asarray(series, dtype=float)
-    return WindowSet(
-        series={f"a{i}": row for i, row in enumerate(series)},
-        origins=tuple((f"a{i}", 0) for i in range(len(series))),
-        window=series.shape[1] - 1,
-    )
+    return WindowSet({f"a{i}": row for i, row in enumerate(series)}, series.shape[1] - 1, 1)
 
 
 def assert_training_replays(windows, batch_size, epochs):
@@ -663,6 +659,24 @@ class TestCheckpoint:
         bad.write_text('{"format": "something-else"}')
         with pytest.raises(DomainError):
             load_model(bad)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda path: None,
+            lambda path: path.write_text("not json"),
+            lambda path: path.write_text("[]"),
+            lambda path: path.write_text('{"format": "qvar-qcnn", "version": 1, "theta": 0.05}'),
+            lambda path: path.write_text('{"format": "qvar-qcnn", "version": 1, "layers": [{}]}'),
+            lambda path: path.mkdir(),
+        ],
+        ids=["missing", "not-json", "list", "no-layers", "empty-layer", "directory"],
+    )
+    def test_bad_checkpoint_is_a_parse_error_naming_it(self, tmp_path, make):
+        path = tmp_path / "model.json"
+        make(path)
+        with pytest.raises(ParseError, match="model.json"):
+            load_model(path)
 
 
 def test_train_config_validation():

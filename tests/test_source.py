@@ -64,3 +64,18 @@ def test_no_module_imports_a_private_name():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert imported == []
+
+
+def test_only_data_opens_files():
+    # qvar.data is the one module that touches a file, so every read or
+    # write failure becomes a qvar error in one place
+    touching = sorted({
+        f"{path.stem}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "data.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "attr", getattr(node.func, "id", None))]
+        if name in {"open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir"}
+    })
+    assert touching == []

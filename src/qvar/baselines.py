@@ -185,15 +185,22 @@ def _fblas():
     return module
 
 
-def _variance_recursion(eps2: np.ndarray, omega: float, alpha: float, beta: float, init_var: float):
+def _recursion_buffers(n: int):
+    # the right-hand side and the Fortran-ordered band of _variance_recursion over n residuals
+    return np.empty(n + 1), np.empty((2, n + 1), order="F")
+
+
+def _variance_recursion(eps2: np.ndarray, omega, alpha, beta, init_var, buffers=None):
     # sigma2[t] = (omega + alpha*eps2[t-1]) + beta*sigma2[t-1] solves the unit lower
-    # bidiagonal system (I - beta*shift) sigma2 = driver: one BLAS dtbsv call. It
+    # bidiagonal system (I - beta*shift) sigma2 = rhs: one BLAS dtbsv call. It
     # runs one day past the data, so sigma2[-1] is the next day's variance.
-    driver = np.empty(eps2.size + 1)
-    driver[0] = init_var
-    driver[1:] = omega + alpha * eps2
-    band = np.full((2, driver.size), -beta, order="F")
-    return _fblas().dtbsv(1, band, driver, lower=1, diag=1, overwrite_x=1)
+    # dtbsv solves in place, so the result is the right-hand side of `buffers`, which a
+    # fit passes to every evaluation; without them the call allocates its own
+    rhs, band = buffers or _recursion_buffers(eps2.size)
+    rhs[0] = init_var
+    np.add(omega, np.multiply(alpha, eps2, out=rhs[1:]), out=rhs[1:])
+    band.fill(-beta)
+    return _fblas().dtbsv(1, band, rhs, lower=1, diag=1, overwrite_x=1)
 
 
 def _variances_ahead(returns, params: GarchParams, init_var: float):
@@ -207,9 +214,14 @@ def _variances_ahead(returns, params: GarchParams, init_var: float):
     return _variance_recursion(eps2, params.omega, params.alpha, params.beta, init_var)
 
 
-def _negloglik(eps2: np.ndarray, sigma2: np.ndarray) -> float:
-    # Gaussian negative log-likelihood of residuals with variances sigma2
-    return float(0.5 * np.sum(np.log(2.0 * np.pi) + np.log(sigma2) + eps2 / sigma2))
+def _negloglik(eps2: np.ndarray, sigma2: np.ndarray, work=None) -> float:
+    # Gaussian negative log-likelihood of residuals with variances sigma2: the
+    # ufuncs of 0.5 * sum(log(2 pi) + log(sigma2) + eps2 / sigma2), in its order,
+    # written into the two arrays of `work` (fresh ones without it)
+    terms, ratio = work or (np.empty_like(eps2), np.empty_like(eps2))
+    np.add(np.log(2.0 * np.pi), np.log(sigma2, out=terms), out=terms)
+    np.add(terms, np.divide(eps2, sigma2, out=ratio), out=terms)
+    return float(0.5 * np.sum(terms))
 
 
 def garch_variance_path(returns, params: GarchParams, init_var: float):
@@ -368,6 +380,9 @@ def fit_garch(train_returns) -> GarchParams:
     if not math.isfinite(sample_var):
         raise FitError("returns' sample variance overflows; GARCH likelihood is degenerate")
     eps2 = eps * eps
+    # one set of buffers serves every likelihood evaluation of the fit
+    buffers = _recursion_buffers(eps2.size)
+    work = np.empty_like(eps2), np.empty_like(eps2)
 
     def negloglik(raw):
         try:
@@ -375,7 +390,8 @@ def fit_garch(train_returns) -> GarchParams:
         except OverflowError:
             # omega = exp(log omega) is beyond the double range: no finite likelihood
             return math.inf
-        return _negloglik(eps2, _variance_recursion(eps2, omega, alpha, beta, sample_var)[:-1])
+        sigma2 = _variance_recursion(eps2, omega, alpha, beta, sample_var, buffers)[:-1]
+        return _negloglik(eps2, sigma2, work)
 
     alpha0, beta0 = 0.05, 0.90
     p0 = alpha0 + beta0

@@ -238,16 +238,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_backtest(args) -> int:
-    import numpy as np
-
     from .backtest import score_forecast
-    from .data import load_prices, log_returns, parse_finite, read_csv
+    from .data import finite_floats, load_prices, log_returns, read_csv
 
     series = log_returns(load_prices(args.prices))
-    (values,) = read_csv(args.var, "VaR file", {"var": parse_finite})
-    if not values:
+    (var,) = read_csv(args.var, "VaR file", {"var": finite_floats})
+    if not var.size:
         raise ParseError(f"{args.var}: no VaR rows")
-    var = np.array(values)
     if var.size > len(series):
         raise QvarError(
             f"VaR series ({var.size}) is longer than the return series ({len(series)})"
@@ -266,7 +263,7 @@ _ResultRow = namedtuple("_ResultRow", "exceedance_rate p_value mean_var")
 
 
 def _cmd_report(args) -> int:
-    from .data import parse_finite, read_csv, reading
+    from .data import finite_floats, read_csv, reading
     from .harness import aggregate, write_summary_csv
 
     results_dir = Path(args.results_dir)
@@ -277,10 +274,10 @@ def _cmd_report(args) -> int:
         stem = path.stem[len("results_") :]
         method, _, tag = stem.rpartition("_theta")
         try:
-            parse_finite(tag)
+            finite_floats([tag])
         except ValueError as exc:
             raise ParseError(f"{path}: quantile level in the name: {exc}") from None
-        columns = read_csv(path, "results file", dict.fromkeys(_ResultRow._fields, parse_finite))
+        columns = read_csv(path, "results file", dict.fromkeys(_ResultRow._fields, finite_floats))
         groups.setdefault(tag, {})[method] = [_ResultRow(*values) for values in zip(*columns)]
     if not groups:
         raise ParseError(f"no results_*_theta*.csv files in {results_dir}")

@@ -194,26 +194,30 @@ def make_output_dir(path: Path) -> None:
         raise DomainError(f"cannot create output directory {path}: {exc}") from None
 
 
-def parse_finite(text: str) -> float:
-    """The one rule for a numeric input field: a decimal that is finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
+def finite_floats(texts: list[str]) -> np.ndarray:
+    """The one rule for numeric input fields: finite decimals. numpy reads each
+    str with Python's float, so the text taken, the bits and the errors are its."""
+    values = np.array(texts, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"expected a finite number, got {texts[finite.argmin()]!r}")
+    return values
 
 
-def _parse_date(text: str) -> dt.date:
-    return dt.date.fromisoformat(text.strip())
+def iso_dates(texts: list[str]) -> list[dt.date]:
+    """The rule for date fields: ISO-8601, with surrounding whitespace ignored."""
+    return list(map(dt.date.fromisoformat, map(str.strip, texts)))
 
 
-def read_csv(path: Path, what: str, columns: dict[str, Callable[[str], Any]]) -> list[list]:
-    """Read a CSV input's `columns`, each field parsed by its column's function.
+def read_csv(path: Path, what: str, columns: dict[str, Callable[[list], Any]]) -> list:
+    """Read a CSV input's `columns`, each parsed in one call by its column's rule.
 
-    Returns one list of values per column, in row order. Header names match
+    Returns one parsed column per name, in row order. Header names match
     case-insensitively and extra columns are ignored. Rows whose fields are
     all blank are skipped. A missing column, a short row or a field its
-    parser rejects (ValueError) is a ParseError naming the file, with the
-    line number.
+    column's rule rejects (ValueError) is a ParseError naming the file. Its
+    line is that of the first row, in file order, that is short or has a
+    rejected field, and within a row the columns are checked in order.
     """
     with open_input(path, what) as fh:
         reader = csv.reader(fh)
@@ -221,19 +225,27 @@ def read_csv(path: Path, what: str, columns: dict[str, Callable[[str], Any]]) ->
         missing = [name for name in columns if name not in header]
         if missing:
             raise ParseError(f"{path}: header lacks {', '.join(missing)}", 1)
-        fields = [(header.index(name), parse, []) for name, parse in columns.items()]
-        width = max(i for i, _, _ in fields) + 1
+        rules = [(header.index(name), parse) for name, parse in columns.items()]
+        rows, lines = [], []
         for row in reader:
-            if not "".join(row).strip():
-                continue
-            if len(row) < width:
-                raise ParseError(f"{path}: expected at least {width} columns", reader.line_num)
-            try:
-                for i, parse, values in fields:
-                    values.append(parse(row[i]))
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}", reader.line_num) from None
-    return [values for _, _, values in fields]
+            if "".join(row).strip():
+                rows.append(row)
+                lines.append(reader.line_num)
+    try:
+        return [parse([row[i] for row in rows]) for i, parse in rules]
+    except (IndexError, ValueError):
+        pass
+    # the error path: find the first row that is short or has a rejected field
+    width = max(i for i, _ in rules) + 1
+    for row, line in zip(rows, lines):
+        if len(row) < width:
+            raise ParseError(f"{path}: expected at least {width} columns", line)
+        try:
+            for i, parse in rules:
+                parse([row[i]])
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line) from None
+    raise AssertionError("a column rule rejected a column but none of its fields")
 
 
 def load_prices(path: str | Path) -> PriceSeries:
@@ -244,16 +256,16 @@ def load_prices(path: str | Path) -> PriceSeries:
     non-positive prices and duplicate dates are rejected.
     """
     path = Path(path)
-    dates, closes = read_csv(path, "price file", {"date": _parse_date, "close": parse_finite})
-    ordinals = np.fromiter((d.toordinal() for d in dates), dtype=np.int64, count=len(dates))
+    dates, closes = read_csv(path, "price file", {"date": iso_dates, "close": finite_floats})
+    ordinals = np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
     order = np.argsort(ordinals, kind="stable")
     repeated = np.flatnonzero(np.diff(ordinals[order]) == 0)
     if repeated.size:
         raise ParseError(f"{path}: duplicate date {dates[order[repeated[0]]]}")
     return PriceSeries(
         asset_id=path.stem,
-        dates=tuple(dates[i] for i in order),
-        closes=np.array(closes, dtype=float)[order],
+        dates=tuple(map(dates.__getitem__, order.tolist())),
+        closes=closes[order],
     )
 
 

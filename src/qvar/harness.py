@@ -352,11 +352,19 @@ def summary_csv_path(output_dir: Path, theta: float) -> Path:
     return Path(output_dir) / f"summary_theta{theta_tag(theta)}.csv"
 
 
+def _csv_field(text: str) -> str:
+    # csv's minimal quoting: a comma, double quote, CR or LF quotes the field
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_results_csv(path: Path, rows: list[tuple[str, BacktestResult]]) -> None:
     lines = ["asset_id,exceedance_rate,dq_stat,p_value,mean_var"]
     for asset_id, r in rows:
         lines.append(
-            f"{asset_id},{r.exceedance_rate!r},{r.dq_statistic!r},{r.p_value!r},{r.mean_var!r}"
+            f"{_csv_field(asset_id)},{r.exceedance_rate!r},{r.dq_statistic!r},"
+            f"{r.p_value!r},{r.mean_var!r}"
         )
     write_output(path, "results file", "\n".join(lines) + "\n")
 
@@ -379,10 +387,14 @@ def _write_series_csv(output_dir: Path, forecast: VarForecast) -> None:
     path = Path(output_dir) / (
         f"series_{forecast.method}_theta{theta_tag(forecast.theta)}_{forecast.asset_id}.csv"
     )
-    lines = ["day_index,var"]
-    for i, v in enumerate(forecast.values):
-        lines.append(f"{forecast.start_index + i},{float(v)!r}")
-    write_output(path, "series file", "\n".join(lines) + "\n")
+    # repr once per distinct bit pattern, which keeps -0.0 and 0.0 apart: a
+    # constant forecast's file repeats one text
+    values = np.asarray(forecast.values, dtype=float)
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [repr(v) for v in bits.view(float).tolist()]
+    days = range(forecast.start_index, forecast.start_index + values.size)
+    lines = [f"{day},{texts[k]}" for day, k in zip(days, which.tolist())]
+    write_output(path, "series file", "\n".join(["day_index,var", *lines]) + "\n")
 
 
 def write_run_manifest(cfg: ExperimentConfig, assets: list[str], skips: list[dict]) -> None:

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import functools
 import json
 from dataclasses import fields
@@ -554,6 +555,28 @@ class TestReport:
             "constant,0.3125,0.15000000000000002,0.34346579160085217,0.5,0.5,0.030000000000000002\n"
             "garch,0.01,0.0,0.014142135623730949,0.3333333333333333,0.6666666666666666,0.2916666666666667\n"
         )
+
+    def test_reads_ids_that_need_quoting(self, tmp_path, capsys):
+        # a comma or a double quote in an asset id is quoted in the results files
+        ids = ["x,y", '"q']
+        manifest = write_panel(tmp_path, n_assets=len(ids))
+        for i, asset in enumerate(ids):
+            (tmp_path / f"asset{i}.csv").rename(tmp_path / f"{asset}.csv")
+        manifest.write_text("".join(f"{asset}.csv\n" for asset in ids))
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path, manifest, out_dir)
+        assert main(["run", "--config", str(cfg), "--theta", "0.05,0.01"]) == 0
+        results = sorted(out_dir.glob("results_*.csv"))
+        assert len(results) == 4
+        for path in results:
+            with open(path, newline="") as fh:
+                assert [row[0] for row in csv.reader(fh)] == ["asset_id", *ids]
+        summaries = {p: p.read_bytes() for p in out_dir.glob("summary_theta*.csv")}
+        assert len(summaries) == 2
+        for path in summaries:
+            path.unlink()
+        assert main(["report", "--results-dir", str(out_dir)]) == 0
+        assert {p: p.read_bytes() for p in out_dir.glob("summary_theta*.csv")} == summaries
 
     @pytest.mark.parametrize(
         "content",

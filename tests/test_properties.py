@@ -5,12 +5,17 @@ variance recursion and Nelder-Mead loop match scipy's bit for bit, price
 files load back bit-exact in date order, a run survives broken price files
 and gives every (asset, method, level) of a hostile panel one row or one
 skip, a VaR of any finite scale is scored or refused, broken VaR,
-results and config files end in no traceback, and aggregate's median has
-np.median's bits."""
+results and config files end in no traceback, aggregate's median has
+np.median's bits, and the bulk forms of per-value work keep the bits of the
+per-value forms: a CSV parsed by column reads as one parsed field by field,
+GARCH's buffered likelihood is a freshly allocated one, and a series file
+is the per-value repr loop."""
 
+import csv
 import datetime as dt
 import json
 import math
+import warnings
 import zlib
 from pathlib import Path
 from unittest.mock import patch
@@ -39,14 +44,18 @@ from qvar.data import (
     ReturnSeries,
     Scaler,
     WindowSet,
+    finite_floats,
     fit_scaler,
+    iso_dates,
     load_prices,
     make_windows,
+    open_input,
     pool_windows,
     prices_from_returns,
+    read_csv,
 )
-from qvar.errors import DomainError, QvarError
-from qvar.harness import ALL_METHODS, aggregate
+from qvar.errors import DomainError, ParseError, QvarError
+from qvar.harness import ALL_METHODS, VarForecast, _write_series_csv, aggregate
 from qvar.qcnn import build_model, predict_var_series
 from qvar.synthlab import IID_NORMAL, SimSpec, simulate, write_price_csv
 
@@ -689,3 +698,184 @@ def test_aggregate_median_is_numpys(rates):
         median = aggregate({"m": rows})[0].exceedance_median
         expected = np.median(np.array(rates))
     assert np.float64(median).tobytes() == np.float64(expected).tobytes()
+
+
+def read_csv_by_field(path, what, columns):
+    """read_csv as it read before it parsed by column: each field parsed by
+    its column's one-field rule as its row streams in."""
+    with open_input(path, what) as fh:
+        reader = csv.reader(fh)
+        header = [name.strip().lower() for name in next(reader, ())]
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise ParseError(f"{path}: header lacks {', '.join(missing)}", 1)
+        fields = [(header.index(name), parse, []) for name, parse in columns.items()]
+        width = max(i for i, _, _ in fields) + 1
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            if len(row) < width:
+                raise ParseError(f"{path}: expected at least {width} columns", reader.line_num)
+            try:
+                for i, parse, values in fields:
+                    values.append(parse(row[i]))
+            except ValueError as exc:
+                raise ParseError(f"{path}: {exc}", reader.line_num) from None
+    return [values for _, _, values in fields]
+
+
+def finite_field(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def date_field(text):
+    return dt.date.fromisoformat(text.strip())
+
+
+# texts each rule takes, then texts that one rule or both refuse
+GOOD_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(("1_000", "1e5", " 1.5 ", ".5", "-0")),
+)
+GOOD_DATES = st.dates().map(dt.date.isoformat)
+ODD_NUMBERS = st.one_of(GOOD_NUMBERS, st.sampled_from(("inf", "-inf", "nan", "1e400", "abc", "0x10", "")))
+ODD_DATES = st.one_of(GOOD_DATES, st.sampled_from(("2020-02-30", "2020-1-1", "20200101", "x", "")))
+
+
+def csv_field(draw, text):
+    # quoted when it must be, and sometimes when it need not be
+    if any(c in text for c in ',"\r\n') or draw(st.booleans()):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a CSV with date and close among other columns: quoted
+    fields, CR, LF and CRLF line ends, a byte-order mark, blank, all-blank
+    and short rows, whitespace around dates, and numeric texts that float()
+    takes or refuses."""
+    names = draw(st.permutations(["date", "close", *draw(st.lists(st.sampled_from(("volume", "x")), max_size=2))]))
+    padded = [draw(st.sampled_from(("", " "))) + draw(st.sampled_from((n, n.upper(), n.title()))) for n in names]
+    other = st.text(alphabet=' ,"\r\nab1', max_size=4)
+    lines = [",".join(csv_field(draw, name) for name in padded)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("row", "row", "row", "odd", "odd close", "short", "blank", "all-blank")))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "all-blank":
+            lines.append(",".join(draw(st.sampled_from(("", " ", "\t"))) for _ in names))
+        else:
+            fields = []
+            for name in names:
+                if name == "date":
+                    space = st.sampled_from(("", " ", "\t"))
+                    text = draw(space) + draw(ODD_DATES if kind == "odd" else GOOD_DATES) + draw(space)
+                elif name == "close":
+                    text = draw(ODD_NUMBERS if kind.startswith("odd") else GOOD_NUMBERS)
+                else:
+                    text = draw(other)
+                fields.append(csv_field(draw, text))
+            if kind == "short":
+                fields = fields[: draw(st.integers(0, len(fields) - 1))]
+            lines.append(",".join(fields))
+    ends = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return (draw(st.sampled_from(("", "﻿"))) + text).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(content=csv_files(), order=st.permutations(["date", "close"]))
+# a bad close on line 2 comes before a short row on line 3, and the date
+# of a row is checked before its close
+@example(content=b"date,close\n2020-01-01,abc\n2020-01-02\n", order=["close", "date"])
+@example(content=b"date,close\nx,abc\n", order=["close", "date"])
+@example(content=b"date,close\n2020-01-01\n2020-01-02,abc\n", order=["date", "close"])
+def test_column_parse_is_the_field_parse(tmp_path_factory, content, order):
+    path = tmp_path_factory.mktemp("csv") / "prices.csv"
+    path.write_bytes(content)
+    rules = {"date": (iso_dates, date_field), "close": (finite_floats, finite_field)}
+
+    def outcome(reader, pick):
+        try:
+            columns = reader(path, "price file", {name: rules[name][pick] for name in order})
+        except ParseError as exc:
+            return str(exc), exc.line
+        return [
+            column if name == "date" else np.array(column, dtype=float).tobytes()
+            for name, column in zip(order, columns)
+        ]
+
+    assert outcome(read_csv, 0) == outcome(read_csv_by_field, 1)
+
+
+def fresh_negloglik(eps2, raw, init_var):
+    """fit_garch's objective as it was before its buffers: every array freshly allocated."""
+    try:
+        omega, alpha, beta = baselines._garch_coefficients(raw)
+    except OverflowError:
+        return math.inf
+    sigma2 = baselines._variance_recursion(eps2, omega, alpha, beta, init_var)[:-1]
+    return float(0.5 * np.sum(np.log(2.0 * np.pi) + np.log(sigma2) + eps2 / sigma2))
+
+
+def warned_outcome(func, *args):
+    """The value's bits and every warning on the way, then the first warning
+    raised under error::RuntimeWarning, or the value again when none is."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        value = func(*args)
+    recorded = np.float64(value).tobytes(), [(w.category, str(w.message)) for w in seen]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            raised = np.float64(func(*args)).tobytes()
+        except RuntimeWarning as exc:
+            raised = repr(exc)
+    return recorded, raised
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(MIN_GARCH_OBS, 400),
+    # subnormal squared residuals, on which variances can underflow to 0, up
+    # to squares near 1e304, on which they can overflow
+    scale=st.sampled_from((1e-160, 1e-3, 1.0, 1e152)),
+    # log omega beyond 709.8 overflows exp; below -745 omega is 0
+    raws=st.lists(st.tuples(st.floats(-800.0, 800.0), st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+                  min_size=1, max_size=4),
+)
+# after an ordinary evaluation, omega is 0 and the variances underflow to 0:
+# log, divide and sum each warn
+@example(seed=0, n=200, scale=1e-160, raws=[(-800.0, 30.0, 0.0), (-800.0, -30.0, 0.0)])
+# exp overflows, then the variances overflow to inf, then an ordinary evaluation
+@example(seed=0, n=200, scale=1e152, raws=[(710.0, 0.0, 0.0), (709.0, 40.0, -40.0), (0.0, 5.0, 1.0)])
+def test_buffered_likelihood_is_a_fresh_one(seed, n, scale, raws):
+    # fit_garch's objective reuses one set of buffers over every evaluation;
+    # each evaluation keeps the bits and the warnings of a fresh one
+    returns = scale * np.random.default_rng(seed).standard_normal(n)
+    found = garch_objective(returns)
+    assume(found is not None)
+    objective, _ = found
+    eps = returns - float(np.mean(returns))
+    eps2, sample_var = eps * eps, float(np.var(eps))
+    for raw in raws:
+        raw = np.array(raw)
+        assert warned_outcome(objective, raw) == warned_outcome(fresh_negloglik, eps2, raw, sample_var)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=rate_lists(), start=st.integers(0, 10**6))
+@example(values=[0.0, -0.0, 0.0, -0.0], start=0)
+@example(values=[5e-324, -5e-324, 1e308, -1e308, 5e-324], start=7)
+def test_series_file_is_the_repr_loop(tmp_path_factory, values, start):
+    directory = tmp_path_factory.mktemp("series")
+    forecast = VarForecast("a", "constant", 0.05, start, np.array(values))
+    _write_series_csv(directory, forecast)
+    lines = ["day_index,var", *(f"{start + i},{float(v)!r}" for i, v in enumerate(forecast.values))]
+    (path,) = directory.iterdir()
+    assert path.read_text() == "\n".join(lines) + "\n"

@@ -195,11 +195,12 @@ def _variance_recursion(eps2: np.ndarray, omega, alpha, beta, init_var, buffers=
     # bidiagonal system (I - beta*shift) sigma2 = rhs: one BLAS dtbsv call. It
     # runs one day past the data, so sigma2[-1] is the next day's variance.
     # dtbsv solves in place, so the result is the right-hand side of `buffers`, which a
-    # fit passes to every evaluation; without them the call allocates its own
+    # fit passes to every evaluation; without them the call allocates its own.
+    # With diag=1 it never reads the band's diagonal row 0, so only row 1 is filled
     rhs, band = buffers or _recursion_buffers(eps2.size)
     rhs[0] = init_var
     np.add(omega, np.multiply(alpha, eps2, out=rhs[1:]), out=rhs[1:])
-    band.fill(-beta)
+    band[1].fill(-beta)
     return _fblas().dtbsv(1, band, rhs, lower=1, diag=1, overwrite_x=1)
 
 

@@ -289,6 +289,10 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
     # qvar's matrix products are sized to run on one thread and it runs in
     # parallel through --workers processes, so an OpenBLAS thread pool only
@@ -303,6 +307,11 @@ def main(argv=None) -> int:
         "backtest": _cmd_backtest,
         "report": _cmd_report,
     }
+    import signal  # past the parser, which `qvar --help` never gets beyond
+
+    # SIGTERM stops a command as SIGINT does, by a KeyboardInterrupt that
+    # unwinds through a run's pool shutdown
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         return handlers[args.command](args)
     except FitError as exc:
@@ -311,6 +320,14 @@ def main(argv=None) -> int:
     except QvarError as exc:
         print(f"qvar: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt as stop:
+        # die by the stopping signal, so exit codes 0-3 keep their meaning, and
+        # without the wait at exit for pool tasks still running
+        signum = stop.args[0] if stop.args else signal.SIGINT
+        signal.signal(signum, signal.SIG_DFL)
+        signal.raise_signal(signum)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import platform
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -283,7 +284,7 @@ def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
                 method=method,
                 n_assets=len(method_results),
                 exceedance_mean=float(np.mean(rates)),
-                exceedance_median=_median(rates),
+                exceedance_median=float(np.median(rates)),
                 exceedance_sd=float(np.std(rates)),
                 dq_rejection_rate_01=float(np.mean(pvals < 0.01)),
                 dq_rejection_rate_05=float(np.mean(pvals < 0.05)),
@@ -291,20 +292,6 @@ def aggregate(results: dict[str, list[BacktestResult]]) -> list[MethodSummary]:
             )
         )
     return summaries
-
-
-def _median(values: np.ndarray) -> float:
-    """np.median's value, bit for bit, without the numpy.ma import of its NaN check.
-
-    The middle sorted value, or the mean of the two middle ones. Like np.mean,
-    the sum starts from +0.0, so a zero median is +0.0 whatever the signs of
-    the zeros that np.sort puts in the middle.
-    """
-    s = np.sort(values)
-    half = len(s) // 2
-    if len(s) % 2:
-        return 0.0 + float(s[half])
-    return (0.0 + float(s[half - 1]) + float(s[half])) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +323,27 @@ def _run_asset(path: Path, cfg: ExperimentConfig):
             scored = _fit_and_score(series, method, cfg.thetas, cfg)
             _record(outcomes, series.asset_id, method, scored, cfg)
     return series.asset_id, outcomes, series if METHOD_JOINT_QCNN in cfg.methods else None
+
+
+def _end_with_run(run_pid: int) -> None:
+    """Pool initializer: on Linux the worker gets SIGTERM when the run's process ends.
+
+    PR_SET_PDEATHSIG fires when the thread that forked the worker ends. Under
+    the fork start method, Python 3.11's pool forks every worker at once from
+    the thread that first submits a task, here the main thread through map,
+    and never respawns one from its manager thread. The pid check catches a
+    run that ended before the call.
+    """
+    # the run's SIGTERM handler, inherited, would only raise inside a task
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if platform.system() == "Linux":
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG
+        if os.getppid() != run_pid:
+            signal.raise_signal(signal.SIGTERM)
 
 
 def theta_tag(theta: float) -> str:
@@ -473,8 +481,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         # BLAS extension, by file), is imported once here, not per worker
         if METHOD_LINEAR_QR in cfg.methods:
             import scipy.optimize  # noqa: F401
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(workers, initializer=_end_with_run, initargs=(os.getpid(),))
+        try:
             done = list(pool.map(_run_asset, tasks, [cfg] * len(tasks), chunksize=1))
+        except BaseException as exc:
+            # the queued tasks go. A stop (KeyboardInterrupt, which qvar.cli.main
+            # also makes of SIGTERM) leaves the running ones to die with this
+            # process; a failed task waits for them, as a finished run does
+            pool.shutdown(wait=not isinstance(exc, KeyboardInterrupt), cancel_futures=True)
+            raise
+        pool.shutdown()
     else:
         done = [_run_asset(path, cfg) for path in tasks]
 

@@ -79,9 +79,11 @@ class SimSpec:
 def simulate(spec: SimSpec, asset_id: str | None = None) -> tuple[ReturnSeries, np.ndarray]:
     """Simulate returns and the true conditional sigma path, seeded and reproducible.
 
-    For garch11 the recursion matches the fitting recursion exactly:
+    For garch11 it runs the fitting recursion,
     sigma2[t] = omega + alpha*eps[t-1]^2 + beta*sigma2[t-1] with sigma2[0]
-    at the unconditional variance omega/(1-alpha-beta). sigma[t] is known
+    at the unconditional variance omega/(1-alpha-beta). The fit solves it
+    with BLAS dtbsv, whose fused multiply-add can move a day's variance by
+    its last bit, so the two agree to rounding. sigma[t] is known
     before the day-t return is drawn, so it is the true one-step-ahead
     volatility.
     """

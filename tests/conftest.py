@@ -1,11 +1,21 @@
 import os
+from pathlib import Path
 
 import pytest
 
+import qvar
 from qvar.baselines import GarchParams
 from qvar.synthlab import GARCH11, SimSpec, simulate, write_price_csv
 
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+SRC = Path(qvar.__file__).resolve().parents[1]
+
+
+def checkout_env(environ=None) -> dict:
+    """The environment (default: this process's) with this checkout first on the path."""
+    environ = os.environ if environ is None else environ
+    path = [str(SRC), *filter(None, environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 @pytest.fixture(autouse=True)

@@ -2,6 +2,11 @@ import argparse
 import csv
 import functools
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -353,6 +358,70 @@ class TestRun:
             (tmp_path.name, "load", "ParseError"),
             ("wide", "load", "ParseError"),
         ]
+
+
+# a `qvar run` whose constant fit leaves its process's pid in the directory
+# argv[1] names and then sleeps; the rest of argv goes to main()
+SLOW_RUN = """
+import os, sys, time
+import qvar.harness
+from qvar.cli import main
+
+fit = qvar.harness.constant_var
+
+def slow_fit(*args):
+    open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+    time.sleep(30)
+    return fit(*args)
+
+qvar.harness.constant_var = slow_fit
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def alive(pid: int) -> bool:
+    # a zombie has ended; nothing may reap an orphan's
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="workers die with the run only on Linux")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_stopped_run_stops_its_workers(tmp_path, signum):
+    # the pool forks its workers from the main thread, so they die with the run
+    manifest = write_panel(tmp_path, n_assets=4)
+    out_dir, pid_dir = tmp_path / "out", tmp_path / "pids"
+    pid_dir.mkdir()
+    argv = [sys.executable, "-c", SLOW_RUN, str(pid_dir), "run", "--manifest", str(manifest),
+            "--output-dir", str(out_dir), "--methods", "constant", "--theta", "0.05",
+            "--window", "32", "--workers", "2", "--write-series"]
+    run = subprocess.Popen(argv, env=conftest.checkout_env(), stderr=subprocess.DEVNULL)
+    workers = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and run.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = {int(path.name) for path in pid_dir.iterdir()}
+        assert len(workers) == 2 and run.pid not in workers
+        run.send_signal(signum)
+        # the run dies by its signal
+        assert run.wait(timeout=10) == -signum
+        written = sorted(out_dir.iterdir())
+        deadline = time.monotonic() + 5
+        while any(map(alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(alive, workers))
+        assert sorted(out_dir.iterdir()) == written
+        # no third worker started a task
+        assert {int(path.name) for path in pid_dir.iterdir()} == workers
+    finally:
+        run.kill()
+        run.wait()
+        for pid in filter(alive, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def run_subparser():

@@ -474,6 +474,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     workers = min(workers, max(1, len(tasks)))
     if workers > 1:
         # imported here, so a one-worker run loads no multiprocessing
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # forked workers inherit the parent's modules, so linear_qr's linprog,
@@ -481,7 +482,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         # BLAS extension, by file), is imported once here, not per worker
         if METHOD_LINEAR_QR in cfg.methods:
             import scipy.optimize  # noqa: F401
-        pool = ProcessPoolExecutor(workers, initializer=_end_with_run, initargs=(os.getpid(),))
+        # on Linux, fork whatever the default start method (forkserver from
+        # Python 3.14): _end_with_run needs each worker to be this process's child
+        linux = platform.system() == "Linux"
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork") if linux else None,
+            initializer=_end_with_run,
+            initargs=(os.getpid(),),
+        )
         try:
             done = list(pool.map(_run_asset, tasks, [cfg] * len(tasks), chunksize=1))
         except BaseException as exc:

@@ -424,6 +424,24 @@ def test_stopped_run_stops_its_workers(tmp_path, signum):
             os.kill(pid, signal.SIGKILL)
 
 
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="the pool pins fork only on Linux")
+def test_pooled_run_forks_whatever_the_default_start_method(tmp_path, capsys):
+    # Python 3.14 makes forkserver Linux's default; its workers are not the
+    # run's children, and a worker whose parent is not the run ends itself
+    manifest = write_panel(tmp_path, n_assets=3)
+    out_dir = tmp_path / "out"
+    flags = ["run", "--manifest", str(manifest), "--output-dir", str(out_dir),
+             "--methods", "constant", "--theta", "0.05", "--window", "32", "--write-series"]
+    script = ("import multiprocessing, sys; multiprocessing.set_start_method('forkserver'); "
+              "from qvar.cli import main; sys.exit(main(sys.argv[1:]))")
+    pooled = subprocess.run([sys.executable, "-c", script, *flags, "--workers", "2"],
+                            env=conftest.checkout_env(), capture_output=True, text=True, timeout=120)
+    assert pooled.returncode == 0, pooled.stderr
+    written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert main([*flags, "--workers", "1"]) == 0
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == written
+
+
 def run_subparser():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

@@ -289,10 +289,6 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _interrupt(signum, frame):
-    raise KeyboardInterrupt(signum)
-
-
 def main(argv=None) -> int:
     # qvar's matrix products are sized to run on one thread and it runs in
     # parallel through --workers processes, so an OpenBLAS thread pool only
@@ -307,11 +303,6 @@ def main(argv=None) -> int:
         "backtest": _cmd_backtest,
         "report": _cmd_report,
     }
-    import signal  # past the parser, which `qvar --help` never gets beyond
-
-    # SIGTERM stops a command as SIGINT does, by a KeyboardInterrupt that
-    # unwinds through a run's pool shutdown
-    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         return handlers[args.command](args)
     except FitError as exc:
@@ -320,14 +311,13 @@ def main(argv=None) -> int:
     except QvarError as exc:
         print(f"qvar: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except KeyboardInterrupt as stop:
+    except KeyboardInterrupt:
+        import signal
+
         # die by the stopping signal, so exit codes 0-3 keep their meaning, and
         # without the wait at exit for pool tasks still running
-        signum = stop.args[0] if stop.args else signal.SIGINT
-        signal.signal(signum, signal.SIG_DFL)
-        signal.raise_signal(signum)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)
 
 
 if __name__ == "__main__":

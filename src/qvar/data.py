@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import os
+import stat
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -177,11 +179,24 @@ def open_input(path: Path, what: str) -> Iterator[TextIO]:
 
 
 def write_output(path: Path, what: str, text: str) -> None:
-    """Write `text` to an output file. Any failure to write it (a directory
-    in the way, a full disk) is a DomainError naming the file."""
+    """Write `text` to an output file whole, in UTF-8: into a hidden
+    `.NAME.tmp` beside it, then renamed into place, so a stopped run never
+    leaves part of a file under its name. Anything but a regular file at
+    `path` (a directory, a symlink) and any failure to write (text UTF-8
+    cannot encode, a name the OS rejects, a full disk) is a DomainError
+    naming the file."""
+    path = Path(path)
     try:
-        Path(path).write_text(text)
-    except OSError as exc:
+        if os.path.lexists(path) and not stat.S_ISREG(path.lstat().st_mode):
+            raise DomainError(f"{path}: cannot write {what}: not a regular file")
+        temp = path.with_name(f".{path.name}.tmp")
+        try:
+            temp.write_bytes(text.encode("utf-8"))
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
+    except (OSError, ValueError) as exc:
         raise DomainError(f"{path}: cannot write {what}: {exc}") from None
 
 

@@ -334,7 +334,7 @@ def _end_with_run(run_pid: int) -> None:
     and never respawns one from its manager thread. The pid check catches a
     run that ended before the call.
     """
-    # the run's SIGTERM handler, inherited, would only raise inside a task
+    # the calling program's SIGTERM handler, inherited, would keep the worker alive
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if platform.system() == "Linux":
         import ctypes
@@ -494,9 +494,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
         try:
             done = list(pool.map(_run_asset, tasks, [cfg] * len(tasks), chunksize=1))
         except BaseException as exc:
-            # the queued tasks go. A stop (KeyboardInterrupt, which qvar.cli.main
-            # also makes of SIGTERM) leaves the running ones to die with this
-            # process; a failed task waits for them, as a finished run does
+            # the queued tasks go. A stop (KeyboardInterrupt) leaves the running
+            # ones to die with this process; a failed task waits for them, as a
+            # finished run does
             pool.shutdown(wait=not isinstance(exc, KeyboardInterrupt), cancel_futures=True)
             raise
         pool.shutdown()

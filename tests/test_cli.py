@@ -128,6 +128,20 @@ class TestSimulate:
         assert code == 2
         assert f"{tmp_path}: cannot write price file" in err
         assert "Traceback" not in err
+        assert not (tmp_path.parent / f".{tmp_path.name}.tmp").exists()
+
+    def test_symlink_in_the_way_exits_2(self, tmp_path, capfd):
+        # the link stays a link, and what it points at keeps its bytes
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"kept")
+        link.symlink_to(target)
+        code = main(["simulate", "--process", "iid_normal", "--n", "100", "--out", str(link)])
+        err = capfd.readouterr().err
+        assert code == 2
+        assert f"{link}: cannot write price file" in err
+        assert "Traceback" not in err
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == b"kept"
 
     def test_file_in_the_way_of_its_directory_exits_2(self, tmp_path, capfd):
         (tmp_path / "afile").write_text("")
@@ -389,13 +403,24 @@ def alive(pid: int) -> bool:
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="workers die with the run only on Linux")
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
-def test_stopped_run_stops_its_workers(tmp_path, signum):
+@pytest.mark.parametrize(
+    "signum, prelude",
+    [
+        (signal.SIGTERM, ""),
+        (signal.SIGKILL, ""),
+        # as in a foreground shell; a background job starts with SIGINT ignored
+        (signal.SIGINT, "import signal; signal.signal(signal.SIGINT, signal.default_int_handler)\n"),
+        # the workers drop a SIGTERM handler of the program that calls main
+        (signal.SIGKILL, "import signal; signal.signal(signal.SIGTERM, lambda *a: None)\n"),
+    ],
+    ids=["SIGTERM", "SIGKILL", "SIGINT", "caller-handler"],
+)
+def test_stopped_run_stops_its_workers(tmp_path, signum, prelude):
     # the pool forks its workers from the main thread, so they die with the run
     manifest = write_panel(tmp_path, n_assets=4)
     out_dir, pid_dir = tmp_path / "out", tmp_path / "pids"
     pid_dir.mkdir()
-    argv = [sys.executable, "-c", SLOW_RUN, str(pid_dir), "run", "--manifest", str(manifest),
+    argv = [sys.executable, "-c", prelude + SLOW_RUN, str(pid_dir), "run", "--manifest", str(manifest),
             "--output-dir", str(out_dir), "--methods", "constant", "--theta", "0.05",
             "--window", "32", "--workers", "2", "--write-series"]
     run = subprocess.Popen(argv, env=conftest.checkout_env(), stderr=subprocess.DEVNULL)

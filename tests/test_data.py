@@ -1,9 +1,13 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import conftest
 from qvar.data import (
     PriceSeries,
     ReturnSeries,
@@ -18,6 +22,7 @@ from qvar.data import (
     make_windows,
     pool_windows,
     prices_from_returns,
+    write_output,
 )
 from qvar.errors import (
     DegenerateDataError,
@@ -333,3 +338,22 @@ def test_unreadable_manifest_is_a_parse_error(tmp_path):
     (tmp_path / "dir.txt").mkdir()
     with pytest.raises(ParseError, match="dir.txt"):
         load_manifest(tmp_path / "dir.txt")
+
+
+class TestWriteOutput:
+    def test_writes_utf8_whatever_the_locale(self, tmp_path):
+        out = tmp_path / "out.csv"
+        env = {k: v for k, v in conftest.checkout_env().items() if k != "PYTHONUTF8"}
+        # the child writes "café"; under C the locale's encoding is ASCII
+        script = "import sys, qvar.data; qvar.data.write_output(sys.argv[1], 'text', 'caf\\xe9')"
+        subprocess.run([sys.executable, "-X", "utf8=0", "-c", script, str(out)],
+                       env={**env, "LC_ALL": "C"}, check=True, timeout=60)
+        assert out.read_bytes() == b"caf\xc3\xa9"
+
+    def test_text_utf8_cannot_encode_keeps_the_previous_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"previous")
+        with pytest.raises(DomainError, match="out.csv: cannot write text"):
+            write_output(out, "text", "lone \ud800 surrogate")
+        assert out.read_bytes() == b"previous"
+        assert os.listdir(tmp_path) == ["out.csv"]

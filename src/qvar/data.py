@@ -180,16 +180,17 @@ def open_input(path: Path, what: str) -> Iterator[TextIO]:
 
 def write_output(path: Path, what: str, text: str) -> None:
     """Write `text` to an output file whole, in UTF-8: into a hidden
-    `.NAME.tmp` beside it, then renamed into place, so a stopped run never
-    leaves part of a file under its name. Anything but a regular file at
-    `path` (a directory, a symlink) and any failure to write (text UTF-8
-    cannot encode, a name the OS rejects, a full disk) is a DomainError
-    naming the file."""
+    `.qvar-PID.tmp` beside it, then renamed into place, so a stopped run never
+    leaves part of a file under its name. The temporary name does not grow
+    with the output's, and a process writes one file at a time, so two
+    workers never share one. Anything but a regular file at `path` (a
+    directory, a symlink) and any failure to write (text UTF-8 cannot encode,
+    a name the OS rejects, a full disk) is a DomainError naming the file."""
     path = Path(path)
     try:
         if os.path.lexists(path) and not stat.S_ISREG(path.lstat().st_mode):
             raise DomainError(f"{path}: cannot write {what}: not a regular file")
-        temp = path.with_name(f".{path.name}.tmp")
+        temp = path.with_name(f".qvar-{os.getpid()}.tmp")
         try:
             temp.write_bytes(text.encode("utf-8"))
             os.replace(temp, path)

@@ -325,6 +325,13 @@ def _run_asset(path: Path, cfg: ExperimentConfig):
     return series.asset_id, outcomes, series if METHOD_JOINT_QCNN in cfg.methods else None
 
 
+def _logged(results, n: int):
+    """Pass the asset tasks' results on as they arrive, logging each one's place."""
+    for k, result in enumerate(results, 1):
+        logger.info("finished asset %s (%d of %d)", result[0], k, n)
+        yield result
+
+
 def _end_with_run(run_pid: int) -> None:
     """Pool initializer: on Linux the worker gets SIGTERM when the run's process ends.
 
@@ -444,8 +451,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
     outcome. _record puts every outcome into one table, a BacktestResult
     (writing its series file under write_series) or a skip. A manifest line
     that does not load gets one load skip, and run_manifest.json lists every
-    skip sorted by (asset, stage, reason). Output is deterministic for a
-    fixed config and seed regardless of worker count.
+    skip sorted by (asset, stage, reason), and is written last. Each finished
+    asset task and each trained joint level logs one INFO line. Output is
+    deterministic for a fixed config and seed regardless of worker count.
     """
     output_dir = Path(cfg.output_dir)
     make_output_dir(output_dir)
@@ -492,7 +500,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
             initargs=(os.getpid(),),
         )
         try:
-            done = list(pool.map(_run_asset, tasks, [cfg] * len(tasks), chunksize=1))
+            results = pool.map(_run_asset, tasks, [cfg] * len(tasks), chunksize=1)
+            done = list(_logged(results, len(tasks)))
         except BaseException as exc:
             # the queued tasks go. A stop (KeyboardInterrupt) leaves the running
             # ones to die with this process; a failed task waits for them, as a
@@ -501,7 +510,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
             raise
         pool.shutdown()
     else:
-        done = [_run_asset(path, cfg) for path in tasks]
+        done = list(_logged((_run_asset(path, cfg) for path in tasks), len(tasks)))
 
     assets: list[str] = []
     series_list: list[ReturnSeries] = []
@@ -529,6 +538,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict[float, list[MethodSummary]]:
                 skip = _skip(WHOLE_LEVEL, _stage(METHOD_JOINT_QCNN, theta), exc)
                 outcomes[WHOLE_LEVEL, METHOD_JOINT_QCNN, theta] = skip
                 continue
+            logger.info("trained joint_qcnn at theta %s", theta_tag(theta))
             save_model(model, output_dir / f"joint_qcnn_theta{theta_tag(theta)}.json")
             for asset_id, outcome in scored.items():
                 _record(outcomes, asset_id, METHOD_JOINT_QCNN, {theta: outcome}, cfg)

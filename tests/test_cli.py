@@ -128,7 +128,16 @@ class TestSimulate:
         assert code == 2
         assert f"{tmp_path}: cannot write price file" in err
         assert "Traceback" not in err
-        assert not (tmp_path.parent / f".{tmp_path.name}.tmp").exists()
+        assert not list(tmp_path.parent.glob(".*.tmp"))
+
+    def test_long_file_name_is_written(self, tmp_path, capfd):
+        # a 252-byte name, within the usual 255-byte limit, whose temporary
+        # file's name must not grow with it
+        out = tmp_path / ("p" * 248 + ".csv")
+        code = main(["simulate", "--process", "iid_normal", "--n", "100", "--out", str(out)])
+        assert code == 0, capfd.readouterr().err
+        assert len(log_returns(load_prices(out))) == 100
+        assert os.listdir(tmp_path) == [out.name]
 
     def test_symlink_in_the_way_exits_2(self, tmp_path, capfd):
         # the link stays a link, and what it points at keeps its bytes

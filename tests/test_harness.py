@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import json
+import logging
 import math
 import os
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import conftest
 import qvar.cli
 import qvar.harness
+import qvar.qcnn
 from qvar.backtest import BacktestResult
 from qvar.baselines import GarchParams
 from qvar.data import (
@@ -384,6 +386,60 @@ class TestRunExperiment:
         else:
             assert loaded == [None, None]
         assert returned[1][1] is None and returned[1][2]["stage"] == "load"
+
+    def test_manifest_is_the_last_write(self, tmp_path, monkeypatch):
+        # its presence marks a finished run
+        manifest = write_panel(tmp_path, n_assets=2)
+        real_write, written = qvar.harness.write_output, []
+
+        def recording_write(path, what, text):
+            written.append(Path(path).name)
+            real_write(path, what, text)
+
+        monkeypatch.setattr(qvar.harness, "write_output", recording_write)
+        monkeypatch.setattr(qvar.qcnn, "write_output", recording_write)
+        cfg = fast_cfg(
+            tmp_path, manifest=manifest, methods=("constant", "garch", "joint_qcnn"),
+            thetas=(0.05, 0.01), train=TrainConfig(epochs=1, batch_size=64), write_series=True,
+        )
+        run_experiment(cfg)
+        # every output once, checkpoints and series files among them
+        assert sorted(written) == sorted(p.name for p in cfg.output_dir.iterdir())
+        assert "joint_qcnn_theta0.01.json" in written
+        assert written[-1] == "run_manifest.json"
+
+    @pytest.mark.parametrize("write_series", [False, True], ids=["no-series", "series"])
+    def test_pooled_manifest_is_the_newest_output(self, tmp_path, write_series):
+        manifest = write_panel(tmp_path, n_assets=3)
+        cfg = fast_cfg(
+            tmp_path, manifest=manifest, methods=("constant", "garch"), thetas=(0.05, 0.01),
+            workers=2, write_series=write_series,
+        )
+        run_experiment(cfg)
+        stamps = {p.name: p.stat().st_mtime_ns for p in cfg.output_dir.iterdir()}
+        assert any(name.startswith("series_") for name in stamps) == write_series
+        newest = stamps.pop("run_manifest.json")
+        assert stamps and all(stamp <= newest for stamp in stamps.values())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_lines(self, tmp_path, caplog, workers):
+        manifest = write_panel(tmp_path, n_assets=2)
+        manifest.write_text("asset0.csv\nmissing.csv\nasset1.csv\n")
+        cfg = fast_cfg(
+            tmp_path, manifest=manifest, methods=("constant", "joint_qcnn"), thetas=(0.05, 0.01),
+            train=TrainConfig(epochs=1, batch_size=64), workers=workers,
+        )
+        caplog.set_level(logging.INFO, logger="qvar.harness")
+        run_experiment(cfg)
+        # one line per finished asset task, load skips too, in manifest order,
+        # then one per trained joint level; none carries a time
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+            "finished asset asset0 (1 of 3)",
+            "finished asset missing (2 of 3)",
+            "finished asset asset1 (3 of 3)",
+            "trained joint_qcnn at theta 0.05",
+            "trained joint_qcnn at theta 0.01",
+        ]
 
     def test_each_price_file_read_once_in_workers(self, tmp_path, monkeypatch):
         manifest = write_panel(tmp_path)

@@ -162,9 +162,9 @@ def test_variance_recursion_is_scipy_dtbsv(n, seed, scale, omega, alpha, beta, i
     assert got.tobytes() == want.tobytes()
     # with diag=1 the solve never reads the band's diagonal row, which the
     # recursion leaves unfilled
-    rhs, unfilled = baselines._recursion_buffers(n)
+    unfilled = band.copy(order="F")
     unfilled[0] = np.nan
-    got = baselines._variance_recursion(eps2, omega, alpha, beta, init_var, (rhs, unfilled))
+    got = baselines._fblas().dtbsv(1, unfilled, driver.copy(), lower=1, diag=1, overwrite_x=1)
     assert got.tobytes() == want.tobytes()
 
 
@@ -796,7 +796,8 @@ def test_column_parse_is_the_field_parse(tmp_path_factory, content, order):
 
 
 def fresh_negloglik(eps2, raw, init_var):
-    """fit_garch's objective as it was before its buffers: every array freshly allocated."""
+    """fit_garch's objective written out: the recursion, then the likelihood's
+    ufuncs in their order, every array freshly allocated."""
     try:
         omega, alpha, beta = baselines._garch_coefficients(raw)
     except OverflowError:
@@ -838,8 +839,8 @@ def warned_outcome(func, *args):
 # exp overflows, then the variances overflow to inf, then an ordinary evaluation
 @example(seed=0, n=200, scale=1e152, raws=[(710.0, 0.0, 0.0), (709.0, 40.0, -40.0), (0.0, 5.0, 1.0)])
 def test_buffered_likelihood_is_a_fresh_one(seed, n, scale, raws):
-    # fit_garch's objective reuses one set of buffers over every evaluation;
-    # each evaluation keeps the bits and the warnings of a fresh one
+    # fit_garch's objective over successive parameters keeps, at each
+    # evaluation, the bits and the warnings of the expression written out
     returns = scale * np.random.default_rng(seed).standard_normal(n)
     found = garch_objective(returns)
     assume(found is not None)
